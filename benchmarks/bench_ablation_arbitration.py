@@ -31,8 +31,7 @@ from repro.core import (
     MTSource,
 )
 from repro.kernel import SimulationError, build
-
-from _pipelines import make_mt_pipeline
+from repro.sweep.families import make_mt_pipeline
 
 
 def fairness_with_arbiter(arbiter_factory):

@@ -22,8 +22,7 @@ from __future__ import annotations
 import io
 
 from repro.core import FullMEB, ReducedMEB
-
-from _pipelines import make_mt_pipeline
+from repro.sweep.families import make_mt_pipeline
 
 
 class NoSharedSlotMEB(ReducedMEB):

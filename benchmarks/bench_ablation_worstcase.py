@@ -21,8 +21,7 @@ import io
 
 from repro.core import FullMEB, ReducedMEB
 from repro.elastic import stall_window
-
-from _pipelines import make_mt_pipeline
+from repro.sweep.families import make_mt_pipeline
 
 STALL_START = 10
 N_ITEMS = 200

@@ -31,9 +31,8 @@ from repro.apps.md5 import MD5Hasher
 from repro.apps.processor import Processor, programs
 from repro.core import FullMEB, ReducedMEB
 
-# Re-based onto the sweep subsystem: the workload factories' single
-# home is the campaign design-family module (benchmarks/_pipelines.py
-# is a thin re-export shim kept for the other bench scripts).
+# The workload factories' single home is the campaign design-family
+# module.
 from repro.sweep.families import (
     make_mt_bursty,
     make_mt_chain,

@@ -28,15 +28,7 @@ CLI: ``python -m repro.sweep run <spec> [--workers N]``.
 Service: ``python -m repro.serve [--port P] [--workers N]``.
 """
 
-from repro.sweep.jobs import (
-    JobService,
-    QuotaError,
-    cancel,
-    job_result,
-    job_status,
-    list_families,
-    submit_campaign,
-)
+from repro.sweep.jobs import JobService, QuotaError
 from repro.sweep.registry import (
     family_names,
     get_family,
@@ -49,7 +41,6 @@ from repro.sweep.spec import (
     CampaignSpec,
     ScenarioSpec,
     SpecError,
-    SweepSpecError,
     load_spec,
     make_scenario,
 )
@@ -62,20 +53,14 @@ __all__ = [
     "ResultStore",
     "ScenarioSpec",
     "SpecError",
-    "SweepSpecError",
     "aggregate",
-    "cancel",
     "canonical_report",
     "family_names",
     "get_family",
-    "job_result",
-    "job_status",
-    "list_families",
     "load_spec",
     "make_scenario",
     "register_family",
     "registry_payload",
     "render_markdown",
     "run_campaign",
-    "submit_campaign",
 ]

@@ -29,8 +29,8 @@ import argparse
 import json
 import sys
 
-from repro.sweep.jobs import JobService, list_families
-from repro.sweep.registry import get_family
+from repro.sweep.jobs import JobService
+from repro.sweep.registry import get_family, registry_payload
 from repro.sweep.report import write_report
 from repro.sweep.spec import SpecError, load_spec
 
@@ -134,7 +134,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_families(args: argparse.Namespace) -> int:
-    payload = list_families()
+    payload = registry_payload()
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK

@@ -1,8 +1,7 @@
 """Built-in design families and the shared workload factories.
 
 The ``make_*`` factories here are the single home of the pipeline
-builders that the benchmark harness used to carry privately
-(``benchmarks/_pipelines.py`` now re-exports them): an MT pipeline, the
+builders the benchmark harness imports: an MT pipeline, the
 bursty variant, the dense shared-function chain and the recirculating
 elastic ring.  On top of them, this module registers the campaign
 design families (see :mod:`repro.sweep.registry`):
@@ -75,7 +74,7 @@ MEB_KINDS = {"full": FullMEB, "reduced": ReducedMEB}
 
 
 # ----------------------------------------------------------------------
-# shared workload factories (previously benchmarks/_pipelines.py)
+# shared workload factories
 # ----------------------------------------------------------------------
 
 def make_mt_pipeline(

@@ -22,10 +22,11 @@ The moving parts of a :class:`JobService`:
   *all* jobs, not just within one campaign — lands on the worker that
   already holds that design compiled, and rewinds it via the kernel's
   columnar snapshot/restore instead of rebuilding.  ``workers<=1`` (or
-  0) executes inline in the dispatcher thread with the same long-lived
-  cache semantics.  A worker process that dies fails only the scenario
-  it was running (``status="worker-failed"``); the pool respawns the
-  worker (cold cache) and the job continues.
+  0) runs inline: a pool of one *thread* worker in the service's own
+  process, driven by the same dispatch loop and worker loop, with the
+  same long-lived cache.  A worker process that dies fails only the
+  scenario it was running (``status="worker-failed"``); the pool
+  respawns the worker (cold cache) and the job continues.
 
 * **A persisted result store with dedup.**  With a
   :class:`repro.sweep.store.ResultStore`, each scenario's canonical
@@ -46,8 +47,9 @@ The service is also **fault-tolerant** (the resilience layer):
   (explicit ``timeout_s`` at any level, or derived from the family's
   recent p95 durations); the dispatcher kills and respawns a worker
   that blows it and marks the rows ``status="timeout"`` without
-  failing the rest of the job.  Inline mode abandons the runner thread
-  instead (it cannot be killed) and continues on a fresh one.
+  failing the rest of the job.  Killing the inline thread worker
+  abandons it (a thread cannot be killed): its late result is dropped
+  and a fresh thread with a cold cache takes over.
 * **Bounded retries** — rows failing with a retryable status
   (:data:`RETRYABLE_STATUSES`) are re-enqueued up to ``retries`` times
   with exponential backoff, re-routed off the affinity worker on the
@@ -78,7 +80,6 @@ from typing import Any, Mapping
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sweep.report import aggregate
-from repro.sweep.registry import registry_payload
 from repro.sweep.runner import _scenario_row, execute_unit, plan_units
 from repro.sweep.spec import (
     CampaignSpec,
@@ -164,102 +165,138 @@ def design_affinity(design_key: str, workers: int) -> int:
 # worker pool
 # ----------------------------------------------------------------------
 
-def _worker_main(index: int, tasks, results) -> None:
-    """Worker-process loop: execute units against a persistent cache.
+def _status_rows(unit, shard: int | None, status: str, message: str):
+    """One row per scenario of *unit*, all finalized as *status*."""
+    rows = []
+    for scenario in unit:
+        row = _scenario_row(scenario, shard)
+        row["status"] = status
+        row["error"] = message
+        rows.append(row)
+    return rows
 
-    A *unit* is a list of scenarios — a singleton for the serial path
-    or an ensemble batch of control-identical scenarios that advance in
-    lockstep through one compiled schedule.  The cache maps (design
-    key, engine[, "ensemble"]) to (handle[, ctx], pristine snapshot)
-    and lives for the worker's whole life — jobs come and go, compiled
-    designs stay warm.
 
-    Each message carries an *opts* mapping: ``profile`` attaches the
-    kernel profiler per scenario, ``trace_id``/``parent`` seed a
-    worker-side :class:`~repro.obs.trace.Tracer` whose finished spans
-    (unit -> scenario -> build/simulate/metrics, tagged with this
-    worker's index) ship back in the result tuple for the dispatcher to
-    merge into the job's trace.
+def _worker_main(index: int, tasks, results, abandoned=None) -> None:
+    """The worker loop: execute units against a persistent cache.
+
+    It runs in a pool process, or — inline mode — in the thread of a
+    one-worker pool, which passes the *abandoned* event its "kill"
+    sets.  A *unit* is a list of scenarios: a singleton for the serial
+    path or an ensemble batch of control-identical scenarios that
+    advance in lockstep through one compiled schedule.  The cache maps
+    (design key, engine[, "ensemble"]) to (handle, ctx, pristine
+    snapshot) and lives for the worker's whole life — jobs come and go,
+    compiled designs stay warm.
+
+    Each message is ``(token, unit, engine, opts)`` and each result
+    ``(index, token, rows, spans)``: the echoed token lets the
+    dispatcher drop results of dispatches it no longer waits for.
+    ``opts["profile"]`` attaches the kernel profiler per scenario;
+    ``trace_id``/``parent`` seed a :class:`~repro.obs.trace.Tracer`
+    whose finished spans (unit -> scenario -> build/simulate/metrics)
+    ship back for the dispatcher to merge into the job's trace.  A
+    process worker tags its spans with ``worker=<index>``; a thread
+    worker's spans are untagged (``mode="inline"``), being in-process.
     """
+    inline = abandoned is not None
+    tags = {} if inline else {"worker": index}
     cache: dict = {}
     while True:
         msg = tasks.get()
         if msg is None:
             return
-        job_id, unit, engine, opts = msg
-        tracer = Tracer(trace_id=opts.get("trace_id"), worker=index)
+        token, unit, engine, opts = msg
+        tracer = Tracer(trace_id=opts["trace_id"], **tags)
         try:
             with tracer.span(
                 "unit",
-                parent=opts.get("parent"),
+                parent=opts["parent"],
                 scenarios=len(unit),
-                mode="pool",
+                mode="inline" if inline else "pool",
             ) as unit_span:
                 unit_rows = execute_unit(
                     unit,
                     engine,
                     cache=cache,
                     shard=index,
-                    profile=bool(opts.get("profile")),
+                    profile=opts["profile"],
                     tracer=tracer,
                     parent=unit_span,
                 )
         except BaseException as exc:  # pragma: no cover - defensive
-            unit_rows = []
-            for scenario in unit:
-                row = _scenario_row(scenario, index)
-                row["status"] = "error"
-                row["error"] = f"{type(exc).__name__}: {exc}"
-                unit_rows.append(row)
-        indices = [scenario.index for scenario in unit]
-        try:
-            results.put((index, job_id, indices, unit_rows, tracer.spans()))
-        except Exception:  # pragma: no cover - unpicklable metrics
-            fallback = []
-            for scenario in unit:
-                row = _scenario_row(scenario, index)
-                row["status"] = "error"
-                row["error"] = "scenario result was not serializable"
-                fallback.append(row)
-            results.put((index, job_id, indices, fallback, tracer.spans()))
+            unit_rows = _status_rows(
+                unit, index, "error", f"{type(exc).__name__}: {exc}"
+            )
+        if inline and abandoned.is_set():
+            return
+        results.put((index, token, unit_rows, tracer.spans()))
 
 
 class _Worker:
-    """One pool member: a task queue plus the process draining it."""
+    """One pool member: a task queue plus the process or thread draining it.
+
+    A thread cannot be killed, so killing a thread worker *abandons*
+    it: ``abandoned`` is set, the thread never puts its late result and
+    is left to finish (or leak, as a daemon) — the pool replaces it
+    with a fresh thread and a cold cache, exactly like a respawn.
+    """
 
     def __init__(self, ctx, index: int, results):
         self.index = index
-        self.tasks = ctx.Queue()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(index, self.tasks, results),
-            daemon=True,
-            name=f"sweep-worker-{index}",
-        )
-        self.process.start()
+        self.abandoned = threading.Event()
+        if ctx is None:
+            self.tasks = queue.Queue()
+            self.runner = threading.Thread(
+                target=_worker_main,
+                args=(index, self.tasks, results, self.abandoned),
+                daemon=True,
+                name="sweep-inline-worker",
+            )
+        else:
+            self.tasks = ctx.Queue()
+            self.runner = ctx.Process(
+                target=_worker_main,
+                args=(index, self.tasks, results),
+                daemon=True,
+                name=f"sweep-worker-{index}",
+            )
+        self.runner.start()
+
+    def alive(self) -> bool:
+        return self.runner.is_alive()
+
+    def kill(self) -> str:
+        """Stop (and reap) the worker now; returns how, for row errors."""
+        if isinstance(self.runner, threading.Thread):
+            self.abandoned.set()
+            return "abandoned"
+        self.runner.kill()
+        self.runner.join(timeout=1.0)
+        return "killed"
 
 
 class _WorkerPool:
-    """N persistent worker processes sharing one result queue."""
+    """N persistent workers sharing one result queue.
 
-    def __init__(self, size: int):
-        self._ctx = multiprocessing.get_context()
+    Workers are processes, or with *threads* (inline mode) threads of
+    the dispatcher's process.
+    """
+
+    def __init__(self, size: int, threads: bool = False):
+        self._ctx = None if threads else multiprocessing.get_context()
         self.size = size
-        self.results = self._ctx.Queue()
+        self.results = queue.Queue() if threads else self._ctx.Queue()
         self.workers = [
             _Worker(self._ctx, i, self.results) for i in range(size)
         ]
         self.respawns = 0
 
     def alive(self) -> list[bool]:
-        return [w.process.is_alive() for w in self.workers]
+        return [w.alive() for w in self.workers]
 
     def respawn(self, index: int) -> None:
-        """Replace a dead worker with a fresh (cold-cache) one."""
-        old = self.workers[index]
-        if old.process.is_alive():  # pragma: no cover - defensive
-            old.process.terminate()
-        old.process.join(timeout=1.0)
+        """Replace a dead or hung worker with a fresh (cold-cache) one."""
+        self.workers[index].kill()
         self.workers[index] = _Worker(self._ctx, index, self.results)
         self.respawns += 1
 
@@ -270,70 +307,9 @@ class _WorkerPool:
             except Exception:  # pragma: no cover - already torn down
                 pass
         for worker in self.workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-
-
-class _InlineRunner:
-    """Inline analogue of a pool worker: a daemon thread owning the cache.
-
-    Inline execution cannot kill a hung unit the way the pool kills a
-    process, so the unit runs on this thread and the dispatcher waits
-    on the results queue with the unit's deadline.  On a blown deadline
-    the dispatcher *abandons* the runner — sets ``abandoned`` so a late
-    result is discarded, leaves the daemon thread to finish or leak —
-    and replaces it with a fresh runner (and fresh cache): the inline
-    kill+respawn, at the cost of a cold cache.
-    """
-
-    def __init__(self, cache: dict):
-        self.cache = cache
-        self.tasks: queue.Queue = queue.Queue()
-        self.results: queue.Queue = queue.Queue()
-        self.abandoned = threading.Event()
-        self.thread = threading.Thread(
-            target=self._loop, daemon=True, name="sweep-inline-runner"
-        )
-        self.thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            msg = self.tasks.get()
-            if msg is None:
-                return
-            job, unit, engine, profile = msg
-            try:
-                with job.tracer.span(
-                    "unit",
-                    parent=job.span,
-                    scenarios=len(unit),
-                    mode="inline",
-                ) as unit_span:
-                    unit_rows = execute_unit(
-                        unit,
-                        engine,
-                        cache=self.cache,
-                        shard=0,
-                        profile=profile,
-                        tracer=job.tracer,
-                        parent=unit_span,
-                    )
-            except BaseException as exc:  # pragma: no cover - defensive
-                unit_rows = []
-                for scenario in unit:
-                    row = _scenario_row(scenario, 0)
-                    row["status"] = "error"
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-                    unit_rows.append(row)
-            if self.abandoned.is_set():
-                return
-            self.results.put(([s.index for s in unit], unit_rows))
-
-    def close(self) -> None:
-        self.tasks.put(None)
-        self.thread.join(timeout=1.0)
+            worker.runner.join(timeout=2.0)
+            if worker.alive():
+                worker.kill()
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +350,8 @@ class Job:
         self.cancel_event = threading.Event()
         self.done_event = threading.Event()
         # Structured trace: the dispatcher-side tracer plus span dicts
-        # shipped back from pool workers (already tagged with trace_id
-        # == job id, so merging is a plain extend).
+        # shipped back from workers (already tagged with trace_id ==
+        # job id, so merging is a plain extend).
         self.tracer: Tracer | None = None
         self.span: Any = None
         self.worker_spans: list[dict[str, Any]] = []
@@ -456,9 +432,10 @@ class Job:
 class JobService:
     """The campaign service core (see module docstring).
 
-    ``workers=0`` (or 1) executes jobs inline in the dispatcher thread
-    — same semantics, no subprocesses — which is also the mode the
-    one-shot CLI uses for serial runs.  *store* enables result-store
+    ``workers=0`` (or 1) runs jobs inline, on one thread worker of the
+    service's own process — same dispatch path, no subprocesses — which
+    is also the mode the one-shot CLI uses for serial runs; ``pool_size``
+    is then 0.  *store* enables result-store
     dedup: pass a :class:`ResultStore`, a path for a persisted JSONL
     store, or ``True`` for an in-memory one.
 
@@ -513,8 +490,9 @@ class JobService:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._pool: _WorkerPool | None = None
-        self._inline_cache: dict = {}
-        self._inline_runner: _InlineRunner | None = None
+        # Per-dispatch token counter: results are matched to the exact
+        # dispatch they answer, never to whatever a worker runs now.
+        self._tokens = itertools.count(1)
         self._dispatcher: threading.Thread | None = None
         self._closed = False
         self._draining = False
@@ -634,9 +612,6 @@ class JobService:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._inline_runner is not None:
-            self._inline_runner.close()
-            self._inline_runner = None
 
     def shutdown(
         self, drain: bool = True, timeout: float | None = None
@@ -699,9 +674,12 @@ class JobService:
             )
             self._dispatcher.start()
 
-    def _ensure_pool(self) -> _WorkerPool | None:
-        if self.pool_size and self._pool is None:
-            self._pool = _WorkerPool(self.pool_size)
+    def _ensure_pool(self) -> _WorkerPool:
+        if self._pool is None:
+            # Inline mode is a pool of one thread worker.
+            self._pool = _WorkerPool(
+                max(self.pool_size, 1), threads=not self.pool_size
+            )
         return self._pool
 
     # -- the jobs API ---------------------------------------------------
@@ -858,7 +836,7 @@ class JobService:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
-        pool = self._pool
+        pool = self._pool if self.pool_size else None
         lookups = self.dedup_hits + self.dedup_misses
         queued = states.get("queued", 0)
         return {
@@ -915,7 +893,7 @@ class JobService:
                 1 for job in self._jobs.values() if job.state == "queued"
             )
         self._m_queue_depth.set(depth)
-        pool = self._pool
+        pool = self._pool if self.pool_size else None
         self._m_workers_alive.set(
             sum(pool.alive()) if pool is not None else 0
         )
@@ -1017,28 +995,20 @@ class JobService:
             try:
                 self._run_job(job)
             except Exception:  # pragma: no cover - defensive
-                job.error = traceback.format_exc()
-                job.state = "failed"
-                job.finished_at = time.time()
-                self._m_jobs_completed.inc(state="failed")
-                if job.started_at is not None:
-                    self._m_job_duration.observe(
-                        job.finished_at - job.started_at
-                    )
                 # The terminal event must go out even on dispatcher
                 # failure — it is what ends every events() stream.
-                job.publish(
-                    {"event": "job", "state": "failed", "error": job.error}
-                )
-                job.done_event.set()
+                job.error = traceback.format_exc()
+                self._finish(job, "failed", error=job.error)
 
-    def _cancelled_row(
-        self, scenario, shard: int | None = None
-    ) -> dict[str, Any]:
-        row = _scenario_row(scenario, shard)
-        row["status"] = "cancelled"
-        row["error"] = "job cancelled before this scenario ran"
-        return row
+    def _finish(self, job: Job, state: str, **event: Any) -> None:
+        """Settle *job* in terminal *state*: metrics, terminal event, waiters."""
+        job.state = state
+        job.finished_at = time.time()
+        self._m_jobs_completed.inc(state=state)
+        if job.started_at is not None:
+            self._m_job_duration.observe(job.finished_at - job.started_at)
+        job.publish({"event": "job", "state": state, **event})
+        job.done_event.set()
 
     def _run_job(self, job: Job) -> None:
         job.state = "running"
@@ -1078,10 +1048,7 @@ class JobService:
                 self._m_dedup.inc(result="miss")
             pending.append(scenario)
         if pending:
-            if self._ensure_pool() is not None:
-                self._run_pooled(job, pending, rows)
-            else:
-                self._run_inline(job, pending, rows)
+            self._run_units(job, pending, rows)
         if self.store is not None:
             for scenario in pending:
                 row = rows.get(scenario.index)
@@ -1096,25 +1063,19 @@ class JobService:
         )
         if job.dedup_hits:
             job.report["summary"]["dedup_hits"] = job.dedup_hits
-        job.state = "cancelled" if job.cancel_event.is_set() else "done"
-        job.finished_at = time.time()
-        job.span.set(state=job.state)
+        state = "cancelled" if job.cancel_event.is_set() else "done"
+        job.span.set(state=state)
         job.span.end()
-        self._m_jobs_completed.inc(state=job.state)
-        self._m_job_duration.observe(job.finished_at - job.started_at)
         summary = job.report["summary"]
-        job.publish(
-            {
-                "event": "job",
-                "state": job.state,
-                "ok": summary["ok"],
-                "failed": summary["failed"],
-                "completed": job.completed,
-                "total": total,
-                "elapsed_s": round(elapsed, 4),
-            }
+        self._finish(
+            job,
+            state,
+            ok=summary["ok"],
+            failed=summary["failed"],
+            completed=job.completed,
+            total=total,
+            elapsed_s=round(elapsed, 4),
         )
-        job.done_event.set()
 
     # -- deadlines and retries ------------------------------------------
 
@@ -1159,171 +1120,27 @@ class JobService:
             return None
         return max(timeouts)
 
-    def _fail_unit(
-        self,
-        job: Job,
-        unit,
-        attempt: int,
-        status: str,
-        message: str,
-        *,
-        shard: int | None,
-        sink,
-        retry,
-    ) -> bool:
-        """Handle a watchdog verdict on an in-flight unit.
-
-        Publishes the watchdog event; then either re-enqueues the unit
-        via *retry(unit, next_attempt, ready_time)* (with exponential
-        backoff, a retry event and a point span) or finalizes every
-        row as *status* through *sink(index, row)*.  Returns True when
-        the unit was re-enqueued.
-        """
-        if status == "timeout":
-            self._m_timeouts.inc(len(unit))
-        will_retry = (
-            status in RETRYABLE_STATUSES
-            and attempt <= job.retries
-            and not job.cancel_event.is_set()
-        )
-        keys = [scenario.key for scenario in unit]
-        job.publish(
-            {
-                "event": "watchdog",
-                "reason": status,
-                "worker": shard,
-                "keys": keys,
-                "attempt": attempt,
-                "retrying": will_retry,
-            }
-        )
-        if will_retry:
-            backoff = _RETRY_BACKOFF_S * (2 ** (attempt - 1))
-            with job.tracer.span(
-                "retry",
-                parent=job.span,
-                reason=status,
-                attempt=attempt + 1,
-                scenarios=len(unit),
-                backoff_s=backoff,
-            ):
-                pass
-            job.publish(
-                {
-                    "event": "retry",
-                    "keys": keys,
-                    "attempt": attempt + 1,
-                    "backoff_s": backoff,
-                    "reason": status,
-                }
-            )
-            retry(unit, attempt + 1, time.time() + backoff)
-            return True
-        for scenario in unit:
-            row = _scenario_row(scenario, shard)
-            row["status"] = status
-            row["error"] = message
-            row["attempts"] = attempt
-            if attempt > 1:
-                self._m_retries.inc(outcome=status)
-            sink(scenario.index, row)
-        return False
-
-    def _ensure_inline_runner(self) -> _InlineRunner:
-        if self._inline_runner is None:
-            self._inline_runner = _InlineRunner(self._inline_cache)
-        return self._inline_runner
-
-    def _abandon_inline_runner(self) -> None:
-        """Inline kill+respawn: discard the hung runner and its cache.
-
-        The runner thread cannot be killed; it is left to finish (or
-        leak, as a daemon) with ``abandoned`` set so its late result —
-        and any result put racing the abandonment — lands on a queue
-        nobody reads.  The next unit gets a fresh runner and a fresh
-        (cold) cache, exactly like a pool respawn.
-        """
-        runner = self._inline_runner
-        if runner is not None:
-            runner.abandoned.set()
-        self._inline_cache = {}
-        self._inline_runner = None
-
     # -- execution ------------------------------------------------------
 
-    def _run_inline(self, job: Job, pending, rows) -> None:
-        """Dispatcher-thread execution with the service-lifetime cache.
+    def _run_units(self, job: Job, pending, rows) -> None:
+        """Affinity-routed execution across the worker pool.
 
-        Units actually execute on the :class:`_InlineRunner` thread so
-        a deadline can be enforced (the dispatcher waits on the result
-        queue with the unit's timeout and abandons blown runners).
-        Cancellation is checked between units: an in-flight ensemble
-        batch finishes (its lanes are one simulation), queued units are
-        reported ``status="cancelled"``.  Retried units go to the back
-        of the queue, so siblings run during the backoff.
+        The one execution path of both modes: inline is a pool of one
+        thread worker.  Units (not single scenarios) are the message
+        granularity: every scenario in a unit shares one design key, so
+        the whole batch lands on the worker holding that design.  The
+        dispatcher is also the watchdog: each poll-timeout tick it
+        checks every in-flight unit's worker for death and its deadline
+        for expiry; either verdict fails (or retries) the whole unit and
+        kills and respawns the worker.  Retried units go to the back of
+        their worker's backlog, so siblings run during the backoff, and
+        are routed off the affinity worker (``+ attempt - 1`` rotation)
+        — dodging both a possibly poisoned cache and the cold respawn.
+        Cancellation stops dispatching: in-flight units finish (an
+        ensemble batch is one simulation), backlogged ones are reported
+        ``status="cancelled"``.
         """
-        total = len(job.spec.scenarios)
-        work: deque = deque(
-            (unit, 1, 0.0) for unit in plan_units(pending, self.ensemble)
-        )
-
-        def requeue(unit, attempt, ready):
-            work.append((unit, attempt, ready))
-
-        def finalize(index, row):
-            rows[index] = row
-            self._note_row(job, row, total)
-
-        while work:
-            if job.cancel_event.is_set():
-                while work:
-                    unit, _attempt, _ready = work.popleft()
-                    for scenario in unit:
-                        row = self._cancelled_row(scenario)
-                        rows[scenario.index] = row
-                        self._note_row(job, row, total)
-                return
-            unit, attempt, ready = work.popleft()
-            wait = ready - time.time()
-            if wait > 0:
-                time.sleep(wait)
-            runner = self._ensure_inline_runner()
-            deadline = self._unit_deadline(job, unit)
-            runner.tasks.put((job, unit, job.engine, job.profile))
-            try:
-                _indices, unit_rows = runner.results.get(timeout=deadline)
-            except queue.Empty:
-                self._abandon_inline_runner()
-                self._fail_unit(
-                    job, unit, attempt, "timeout",
-                    f"unit blew its {deadline:.1f}s deadline "
-                    "(inline runner abandoned)",
-                    shard=0, sink=finalize, retry=requeue,
-                )
-                continue
-            for row in unit_rows:
-                row["attempts"] = attempt
-                if attempt > 1:
-                    self._m_retries.inc(
-                        outcome=str(row.get("status", "unknown"))
-                    )
-                rows[row["index"]] = row
-                self._note_row(job, row, total)
-
-    def _run_pooled(self, job: Job, pending, rows) -> None:
-        """Affinity-routed execution across the persistent worker pool.
-
-        Units (not single scenarios) are the message granularity: every
-        scenario in a unit shares one design key, so affinity routing
-        is unchanged — the whole batch lands on the worker holding that
-        design.  The dispatcher is also the watchdog: each poll-timeout
-        tick it checks every in-flight unit's worker for death and its
-        deadline for expiry; either verdict fails (or retries) the
-        whole unit and respawns the worker.  Retried units are routed
-        off the affinity worker (``+ attempt - 1`` rotation) — dodging
-        both a possibly poisoned cache and the cold respawn.
-        """
-        pool = self._pool
+        pool = self._ensure_pool()
 
         def route(unit, attempt: int) -> int:
             return (
@@ -1334,171 +1151,142 @@ class JobService:
         backlog: dict[int, deque] = {i: deque() for i in range(pool.size)}
         for unit in plan_units(pending, self.ensemble):
             backlog[route(unit, 1)].append((unit, 1, 0.0))
-        # widx -> (unit, attempt, absolute deadline | None, timeout_s)
+        # widx -> (token, unit, attempt, absolute deadline | None, timeout_s)
         inflight: dict[int, tuple] = {}
         remaining = len(pending)
         total = len(job.spec.scenarios)
         opts = {
             "profile": job.profile,
             "trace_id": job.id,
-            "parent": job.span.span_id if job.span is not None else None,
+            "parent": job.span.span_id,
         }
 
-        def account(index: int, row: dict[str, Any]) -> None:
+        def account(row: dict[str, Any]) -> None:
             nonlocal remaining
-            if index in rows:  # late result after a watchdog verdict
-                return
-            rows[index] = row
+            rows[row["index"]] = row
             self._note_row(job, row, total)
             remaining -= 1
 
-        def requeue(unit, attempt, ready):
-            backlog[route(unit, attempt)].append((unit, attempt, ready))
+        def fail(i: int, status: str, message: str) -> None:
+            """Watchdog verdict on worker *i*: retry or finalize its unit.
+
+            Publishes the watchdog event; then either re-enqueues the
+            unit with exponential backoff (plus a retry event and a
+            point span) or finalizes every row as *status* — and
+            respawns the worker either way.
+            """
+            _token, unit, attempt, _deadline, _timeout_s = inflight.pop(i)
+            if status == "timeout":
+                self._m_timeouts.inc(len(unit))
+            will_retry = (
+                status in RETRYABLE_STATUSES
+                and attempt <= job.retries
+                and not job.cancel_event.is_set()
+            )
+            keys = [scenario.key for scenario in unit]
+            job.publish(
+                {
+                    "event": "watchdog",
+                    "reason": status,
+                    "worker": i,
+                    "keys": keys,
+                    "attempt": attempt,
+                    "retrying": will_retry,
+                }
+            )
+            if will_retry:
+                backoff = _RETRY_BACKOFF_S * (2 ** (attempt - 1))
+                with job.tracer.span(
+                    "retry",
+                    parent=job.span,
+                    reason=status,
+                    attempt=attempt + 1,
+                    scenarios=len(unit),
+                    backoff_s=backoff,
+                ):
+                    pass
+                job.publish(
+                    {
+                        "event": "retry",
+                        "keys": keys,
+                        "attempt": attempt + 1,
+                        "backoff_s": backoff,
+                        "reason": status,
+                    }
+                )
+                backlog[route(unit, attempt + 1)].append(
+                    (unit, attempt + 1, time.time() + backoff)
+                )
+            else:
+                for row in _status_rows(unit, i, status, message):
+                    row["attempts"] = attempt
+                    if attempt > 1:
+                        self._m_retries.inc(outcome=status)
+                    account(row)
+            pool.respawn(i)
+            if self.pool_size:  # inline mode reports no pool
+                self._m_respawns.inc()
 
         while remaining:
             if job.cancel_event.is_set():
                 for dq in backlog.values():
                     while dq:
                         unit, _attempt, _ready = dq.popleft()
-                        for scenario in unit:
-                            account(
-                                scenario.index, self._cancelled_row(scenario)
-                            )
+                        for row in _status_rows(
+                            unit, None, "cancelled",
+                            "job cancelled before this scenario ran",
+                        ):
+                            account(row)
                 if not inflight:
                     break
             now = time.time()
-            for i in range(pool.size):
-                if i in inflight or not backlog[i]:
-                    continue
-                if backlog[i][0][2] > now:  # head still backing off
-                    continue
-                unit, attempt, _ready = backlog[i].popleft()
-                pool.workers[i].tasks.put((job.id, unit, job.engine, opts))
+            for i, dq in backlog.items():
+                if i in inflight or not dq or dq[0][2] > now:
+                    continue  # busy, idle, or head still backing off
+                unit, attempt, _ready = dq.popleft()
+                token = (job.id, next(self._tokens))
+                pool.workers[i].tasks.put((token, unit, job.engine, opts))
                 timeout_s = self._unit_deadline(job, unit)
                 deadline = now + timeout_s if timeout_s is not None else None
-                inflight[i] = (unit, attempt, deadline, timeout_s)
-            self._m_inflight.set(len(inflight))
+                inflight[i] = (token, unit, attempt, deadline, timeout_s)
+            if self.pool_size:  # inline mode reports no pool
+                self._m_inflight.set(len(inflight))
             try:
-                widx, _job_id, indices, unit_rows, spans = pool.results.get(
+                widx, token, unit_rows, spans = pool.results.get(
                     timeout=_POLL_S
                 )
             except queue.Empty:
                 now = time.time()
                 for i in list(inflight):
-                    unit, attempt, deadline, timeout_s = inflight[i]
+                    _token, _unit, _attempt, deadline, timeout_s = inflight[i]
                     worker = pool.workers[i]
-                    if not worker.process.is_alive():
-                        inflight.pop(i)
-                        self._fail_unit(
-                            job, unit, attempt, "worker-failed",
+                    if not worker.alive():
+                        fail(
+                            i, "worker-failed",
                             f"worker {i} died (exit code "
-                            f"{worker.process.exitcode})",
-                            shard=i, sink=account, retry=requeue,
+                            f"{getattr(worker.runner, 'exitcode', None)})",
                         )
-                        pool.respawn(i)
-                        self._m_respawns.inc()
                     elif deadline is not None and now > deadline:
-                        inflight.pop(i)
-                        worker.process.kill()
-                        self._fail_unit(
-                            job, unit, attempt, "timeout",
+                        fail(
+                            i, "timeout",
                             f"unit blew its {timeout_s:.1f}s deadline on "
-                            f"worker {i} (worker killed and respawned)",
-                            shard=i, sink=account, retry=requeue,
+                            f"worker {i} (worker {worker.kill()} and "
+                            "respawned)",
                         )
-                        pool.respawn(i)
-                        self._m_respawns.inc()
                 continue
             entry = inflight.get(widx)
-            if entry is not None and (
-                [s.index for s in entry[0]] == indices
-            ):
-                inflight.pop(widx)
-                attempt = entry[1]
-            else:
-                # A stale result: the unit it answers was already
-                # failed by a watchdog verdict (account() drops the
-                # duplicate rows via the `index in rows` guard).
-                attempt = 1
+            if entry is None or entry[0] != token:
+                # A stale result: it answers a dispatch the watchdog
+                # already failed, or another job's — never this one.
+                continue
+            inflight.pop(widx)
+            attempt = entry[2]
             job.worker_spans.extend(spans)
-            for sidx, row in zip(indices, unit_rows):
+            for row in unit_rows:
                 row["attempts"] = attempt
-                if attempt > 1 and sidx not in rows:
+                if attempt > 1:
                     self._m_retries.inc(
                         outcome=str(row.get("status", "unknown"))
                     )
-                account(sidx, row)
+                account(row)
         self._m_inflight.set(0)
-
-
-# ----------------------------------------------------------------------
-# module-level convenience API (a lazily created default service)
-# ----------------------------------------------------------------------
-
-_default_service: JobService | None = None
-_default_lock = threading.Lock()
-
-
-def default_service() -> JobService:
-    """The process-wide default (inline, store-less) service."""
-    global _default_service
-    with _default_lock:
-        if _default_service is None or _default_service._closed:
-            _default_service = JobService(workers=0)
-        return _default_service
-
-
-def configure(
-    workers: int = 0,
-    engine: str | None = None,
-    store: ResultStore | str | pathlib.Path | bool | None = None,
-    ensemble: Any = "auto",
-    profile: bool = False,
-) -> JobService:
-    """Replace the default service (closing any previous one)."""
-    global _default_service
-    with _default_lock:
-        if _default_service is not None:
-            _default_service.close()
-        _default_service = JobService(
-            workers=workers, engine=engine, store=store, ensemble=ensemble,
-            profile=profile,
-        )
-        return _default_service
-
-
-def submit_campaign(
-    spec: CampaignSpec | Mapping[str, Any] | str | pathlib.Path,
-    workers: int | None = None,
-    engine: str | None = None,
-    timeout_s: float | None = None,
-    retries: int | None = None,
-) -> str:
-    """Submit a campaign to the default service; returns the job id."""
-    return default_service().submit(
-        spec, workers=workers, engine=engine, timeout_s=timeout_s,
-        retries=retries,
-    )
-
-
-def job_status(job_id: str) -> dict[str, Any]:
-    """Status snapshot of a default-service job."""
-    return default_service().status(job_id)
-
-
-def job_result(
-    job_id: str, wait: bool = True, timeout: float | None = None
-) -> dict[str, Any]:
-    """Aggregated report of a default-service job (blocking by default)."""
-    return default_service().result(job_id, wait=wait, timeout=timeout)
-
-
-def cancel(job_id: str) -> bool:
-    """Cancel a default-service job."""
-    return default_service().cancel(job_id)
-
-
-def list_families() -> dict[str, Any]:
-    """The design-family registry payload (same structure ``/families``
-    serves and ``families --json`` prints)."""
-    return registry_payload()

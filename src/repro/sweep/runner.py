@@ -1,18 +1,21 @@
 """Scenario execution: the one place a scenario actually runs.
 
-PR 6 split this module's old orchestration/execution mix in two:
+The sweep layer is split in two:
 
-* **Execution** (this module): :func:`execute_scenario` builds — or
-  rewinds — a design and drives one scenario to metrics.  It is the
-  single primitive every runner shares: the in-process batch path, the
-  campaign service's persistent workers, and ad-hoc programmatic use.
+* **Execution** (this module): one scaffold builds — or rewinds — a
+  design and drives a *unit* to metrics: a single scenario
+  (:func:`execute_scenario`, the width-1 case) or a lockstep batch
+  (:func:`execute_ensemble`).  :func:`execute_unit` is what the
+  campaign service's workers call; the other two are the entry points
+  for ad-hoc programmatic use.
 * **Orchestration** (:mod:`repro.sweep.jobs`): job queueing, worker
   pools, result-store dedup and report assembly.  :func:`run_campaign`
   is kept here as the stable one-shot entry point but is now a thin
   client of the jobs API.
 
 Design reuse works through an explicit *cache* mapping
-``(design_key, engine) -> (handle, pristine_snapshot)``: built on first
+``(design_key, engine[, "ensemble"]) -> (handle, ctx, pristine_snapshot)``
+(*ctx* is the lockstep lift, None for serial designs): built on first
 use, every later scenario of the same design starts from a ``restore``
 of the pristine snapshot instead of a rebuild.  Because the cache key
 is pure data, a cache can outlive one campaign — the service's workers
@@ -26,6 +29,7 @@ containment lives with the worker pool in :mod:`repro.sweep.jobs`.
 
 from __future__ import annotations
 
+import contextlib
 import time
 import traceback
 from typing import Any, Sequence
@@ -103,6 +107,121 @@ def plan_units(
     return units
 
 
+def _execute(
+    scenarios: Sequence[ScenarioSpec],
+    engine: str | None,
+    cache: dict | None,
+    shard: int | None,
+    profile: bool,
+    tracer: Any,
+    parent: Any,
+    lockstep: bool,
+) -> list[dict[str, Any]]:
+    """The scenario scaffold: run one unit, return one row per scenario.
+
+    Serial execution is the width-1 case: ``lockstep=False`` runs a
+    single scenario through ``family.run``; ``lockstep=True`` advances
+    every scenario through the family's :class:`EnsembleSupport` in one
+    compiled schedule.  Both share the design cache (lockstep designs
+    under their own ``"ensemble"`` key, because lifting rewrites
+    component callables), the profiler attach, the
+    ``scenario -> build/simulate/metrics`` spans and the error path:
+    a failure drops the cached design, then becomes an error row
+    (serial) or a fallback to serial execution (lockstep).
+    """
+    tracer = tracer if tracer is not None else NULL_TRACER
+    rows = [_scenario_row(s, shard) for s in scenarios]
+    head = scenarios[0]
+    start = time.perf_counter()
+    cache_key = (head.design_key(), engine) + (
+        ("ensemble",) if lockstep else ()
+    )
+    span = tracer.span(
+        "scenario",
+        parent=parent,
+        key=head.key,
+        **(
+            {"lanes": len(scenarios), "ensemble": True}
+            if lockstep
+            else {"index": head.index}
+        ),
+    )
+    try:
+        with span:
+            family = get_family(head.family)
+            support = family.ensemble
+            if lockstep and support is None:
+                raise EnsembleUnsupported(
+                    f"family {family.name!r} declares no ensemble support"
+                )
+            if not (lockstep or family.reusable):
+                cache = None
+            with tracer.span("build", parent=span) as build_span:
+                entry = cache.get(cache_key) if cache is not None else None
+                if entry is None:
+                    handle = family.build(head.params, engine)
+                    ctx = support.lift(handle) if lockstep else None
+                    design_cache = "none"
+                    if cache is not None:
+                        cache[cache_key] = (handle, ctx, handle.sim.snapshot())
+                        design_cache = "build"
+                else:
+                    handle, ctx, pristine = entry
+                    handle.sim.restore(pristine)
+                    design_cache = "hit"
+                build_span.set(design_cache=design_cache)
+            sim = getattr(handle, "sim", None)
+            with tracer.span("simulate", parent=span):
+                with (
+                    sim.profile()
+                    if profile and sim is not None
+                    else contextlib.nullcontext()
+                ) as prof:
+                    if lockstep:
+                        outcomes = support.run(handle, ctx, scenarios)
+                    else:
+                        outcomes = [("ok", family.run(handle, head))]
+                if prof is not None and lockstep:
+                    prof.note_ensemble(
+                        ctx.width, len(scenarios) - len(ctx.failures)
+                    )
+            with tracer.span("metrics", parent=span):
+                for row, (status, payload) in zip(rows, outcomes):
+                    if lockstep:
+                        row["ensemble"] = len(scenarios)
+                    row["design_cache"] = design_cache
+                    row["status"] = status
+                    row["metrics" if status == "ok" else "error"] = payload
+                if prof is not None:
+                    # One shared simulation: its report lands on the
+                    # first row only, so aggregation never double-counts.
+                    report = prof.report(top=PROFILE_TOP)
+                    if lockstep:
+                        report["unit_scenarios"] = len(scenarios)
+                    rows[0]["profile"] = report
+    except Exception:
+        # A failed unit may leave a shared design mid-flight: drop it
+        # so the next scenario of this design rebuilds.
+        if cache is not None:
+            cache.pop(cache_key, None)
+        if lockstep:
+            fallback = [
+                _execute(
+                    [s], engine, cache, shard, profile, tracer, parent, False
+                )[0]
+                for s in scenarios
+            ]
+            for row in fallback:
+                row["ensemble"] = "fallback"
+            return fallback
+        rows[0]["status"] = "error"
+        rows[0]["error"] = traceback.format_exc()
+    duration = round(time.perf_counter() - start, 4)
+    for row in rows:
+        row["duration_s"] = duration
+    return rows
+
+
 def execute_ensemble(
     scenarios: Sequence[ScenarioSpec],
     engine: str | None,
@@ -114,148 +233,18 @@ def execute_ensemble(
 ) -> list[dict[str, Any]]:
     """Run a batch of control-identical scenarios in one lockstep sim.
 
-    Returns one report row per scenario, in order.  The lifted design
-    is cached under ``(design_key, engine, "ensemble")`` — separate
-    from the serial cache, because lifting rewrites component callables
-    — and rewound via snapshot/restore between batches.  Any failure of
-    the batched path (unsupported component, lane-divergent control,
+    Returns one report row per scenario, in order.  Any failure of the
+    batched path (unsupported component, lane-divergent control,
     mid-flight error) falls back to plain serial execution, so batching
     can never change *whether* a campaign completes, only how fast.
     Per-lane scenario failures do **not** trigger fallback: they
     surface as ordinary ``status="error"`` rows while sibling lanes
-    complete.
-
-    With *profile*, a kernel profiler is attached to the lifted
-    simulator around the batch; its report (including ensemble lane
-    occupancy) lands on the **first** row of the batch only, so report
-    aggregation never double-counts a shared simulation.  *tracer* /
-    *parent* hang the batch's ``scenario``/``build``/``simulate`` spans
-    under the caller's unit span.
+    complete.  With *profile*, the report (including ensemble lane
+    occupancy) lands on the **first** row of the batch only.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    rows = [_scenario_row(s, shard) for s in scenarios]
-    start = time.perf_counter()
-    cache_key = (scenarios[0].design_key(), engine, "ensemble")
-    span = tracer.span(
-        "scenario",
-        parent=parent,
-        key=scenarios[0].key,
-        lanes=len(scenarios),
-        ensemble=True,
+    return _execute(
+        scenarios, engine, cache, shard, profile, tracer, parent, True
     )
-    try:
-        with span:
-            family = get_family(scenarios[0].family)
-            support = family.ensemble
-            if support is None:
-                raise EnsembleUnsupported(
-                    f"family {family.name!r} declares no ensemble support"
-                )
-            entry = cache.get(cache_key) if cache is not None else None
-            with tracer.span("build", parent=span) as build_span:
-                if entry is None:
-                    handle = family.build(scenarios[0].params, engine)
-                    ctx = support.lift(handle)
-                    entry = (handle, ctx, handle.sim.snapshot())
-                    if cache is not None:
-                        cache[cache_key] = entry
-                    cache_state = "build"
-                else:
-                    handle, ctx, pristine = entry
-                    handle.sim.restore(pristine)
-                    cache_state = "hit"
-                build_span.set(design_cache=cache_state)
-            prof = None
-            with tracer.span("simulate", parent=span):
-                if profile:
-                    with handle.sim.profile() as prof:
-                        outcomes = support.run(handle, ctx, scenarios)
-                    prof.note_ensemble(
-                        ctx.width, len(scenarios) - len(ctx.failures)
-                    )
-                else:
-                    outcomes = support.run(handle, ctx, scenarios)
-    except Exception:
-        if cache is not None:
-            cache.pop(cache_key, None)
-        fallback = [
-            execute_scenario(
-                s,
-                engine,
-                cache=cache,
-                shard=shard,
-                profile=profile,
-                tracer=tracer,
-                parent=parent,
-            )
-            for s in scenarios
-        ]
-        for row in fallback:
-            row["ensemble"] = "fallback"
-        return fallback
-    duration = round(time.perf_counter() - start, 4)
-    with tracer.span("metrics", parent=span):
-        for row, (status, payload) in zip(rows, outcomes):
-            row["ensemble"] = len(scenarios)
-            row["design_cache"] = cache_state
-            row["status"] = status
-            if status == "ok":
-                row["metrics"] = payload
-            else:
-                row["error"] = payload
-            row["duration_s"] = duration
-        if prof is not None and rows:
-            report = prof.report(top=PROFILE_TOP)
-            report["unit_scenarios"] = len(scenarios)
-            rows[0]["profile"] = report
-    return rows
-
-
-def execute_unit(
-    unit: Sequence[ScenarioSpec],
-    engine: str | None,
-    cache: dict | None = None,
-    shard: int | None = None,
-    profile: bool = False,
-    tracer: Any = None,
-    parent: Any = None,
-) -> list[dict[str, Any]]:
-    """Run one planned unit: singletons serially, batches in lockstep."""
-    if len(unit) == 1:
-        return [
-            execute_scenario(
-                unit[0],
-                engine,
-                cache=cache,
-                shard=shard,
-                profile=profile,
-                tracer=tracer,
-                parent=parent,
-            )
-        ]
-    return execute_ensemble(
-        unit,
-        engine,
-        cache=cache,
-        shard=shard,
-        profile=profile,
-        tracer=tracer,
-        parent=parent,
-    )
-
-
-def _scenario_row(
-    scenario: ScenarioSpec, shard: int | None
-) -> dict[str, Any]:
-    return {
-        "key": scenario.key,
-        "index": scenario.index,
-        "family": scenario.family,
-        "params": dict(scenario.params),
-        "stimulus": dict(scenario.stimulus),
-        "seed": scenario.seed,
-        "shard": shard,
-    }
 
 
 def execute_scenario(
@@ -284,115 +273,38 @@ def execute_scenario(
     :class:`~repro.obs.trace.Tracer`) records
     ``scenario -> build/simulate/metrics`` spans under *parent*.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    row = _scenario_row(scenario, shard)
-    start = time.perf_counter()
-    cache_key = (scenario.design_key(), engine)
-    span = tracer.span(
-        "scenario", parent=parent, key=scenario.key, index=scenario.index
-    )
-    try:
-        with span:
-            family = get_family(scenario.family)
-            with tracer.span("build", parent=span) as build_span:
-                if family.reusable and cache is not None:
-                    entry = cache.get(cache_key)
-                    if entry is None:
-                        handle = family.build(scenario.params, engine)
-                        cache[cache_key] = (handle, handle.sim.snapshot())
-                        row["design_cache"] = "build"
-                    else:
-                        handle, pristine = entry
-                        handle.sim.restore(pristine)
-                        row["design_cache"] = "hit"
-                else:
-                    handle = family.build(scenario.params, engine)
-                    row["design_cache"] = "none"
-                build_span.set(design_cache=row["design_cache"])
-            sim = getattr(handle, "sim", None)
-            with tracer.span("simulate", parent=span):
-                if profile and sim is not None:
-                    with sim.profile() as prof:
-                        metrics = family.run(handle, scenario)
-                    row["profile"] = prof.report(top=PROFILE_TOP)
-                else:
-                    metrics = family.run(handle, scenario)
-            with tracer.span("metrics", parent=span):
-                row["status"] = "ok"
-                row["metrics"] = metrics
-    except Exception:
-        # A failed scenario may leave a shared design mid-flight:
-        # drop it so the next scenario of this design rebuilds.
-        if cache is not None:
-            cache.pop(cache_key, None)
-        row["status"] = "error"
-        row["error"] = traceback.format_exc()
-    row["duration_s"] = round(time.perf_counter() - start, 4)
-    return row
+    return _execute(
+        [scenario], engine, cache, shard, profile, tracer, parent, False
+    )[0]
 
 
-def run_scenarios(
-    scenarios: Sequence[ScenarioSpec],
+def execute_unit(
+    unit: Sequence[ScenarioSpec],
     engine: str | None,
-    shard: int = 0,
     cache: dict | None = None,
-    ensemble: Any = "off",
+    shard: int | None = None,
     profile: bool = False,
     tracer: Any = None,
     parent: Any = None,
 ) -> list[dict[str, Any]]:
-    """Run *scenarios* in this process (one worker's shard).
-
-    A fresh design cache is used unless the caller passes one — the
-    service's workers pass their long-lived cache so designs survive
-    from job to job.  With *ensemble* enabled (``"auto"`` or a lane
-    cap), batchable scenarios run in lockstep; rows always come back in
-    input order regardless of how units were planned.
-    """
-    if cache is None:
-        cache = {}
-    by_index: dict[int, dict[str, Any]] = {}
-    for unit in plan_units(scenarios, ensemble):
-        rows = execute_unit(
-            unit,
-            engine,
-            cache=cache,
-            shard=shard,
-            profile=profile,
-            tracer=tracer,
-            parent=parent,
-        )
-        for row in rows:
-            by_index[row["index"]] = row
-    return [by_index[scenario.index] for scenario in scenarios]
+    """Run one planned unit: singletons serially, batches in lockstep."""
+    return _execute(
+        unit, engine, cache, shard, profile, tracer, parent, len(unit) > 1
+    )
 
 
-def shard_scenarios(
-    spec: CampaignSpec, workers: int
-) -> list[list[ScenarioSpec]]:
-    """Deterministic shard assignment: design groups dealt round-robin.
-
-    Groups (not single scenarios) are the unit of distribution so a
-    worker can amortize one build across all of a design's scenarios;
-    group order follows first appearance in the spec, which makes the
-    assignment reproducible from the spec alone.  (The long-running
-    service routes by a stable design-key hash instead — see
-    :func:`repro.sweep.jobs.design_affinity` — so that affinity also
-    holds *across* jobs.)
-    """
-    groups: dict[str, list[ScenarioSpec]] = {}
-    order: list[str] = []
-    for scenario in spec.scenarios:
-        key = scenario.design_key()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(scenario)
-    n_shards = max(1, min(workers, len(order)))
-    shards: list[list[ScenarioSpec]] = [[] for _ in range(n_shards)]
-    for i, key in enumerate(order):
-        shards[i % n_shards].extend(groups[key])
-    return [shard for shard in shards if shard]
+def _scenario_row(
+    scenario: ScenarioSpec, shard: int | None
+) -> dict[str, Any]:
+    return {
+        "key": scenario.key,
+        "index": scenario.index,
+        "family": scenario.family,
+        "params": dict(scenario.params),
+        "stimulus": dict(scenario.stimulus),
+        "seed": scenario.seed,
+        "shard": shard,
+    }
 
 
 def run_campaign(

@@ -61,10 +61,6 @@ class SpecError(ValueError):
         return {"path": self.path, "field": self.field, "reason": self.reason}
 
 
-#: Backwards-compatible alias (the pre-service name of the class).
-SweepSpecError = SpecError
-
-
 def _timeout_value(
     value: Any, *, path: str, field: str = "timeout_s"
 ) -> float | None:

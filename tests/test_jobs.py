@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pathlib
 import threading
+import time
 
 import pytest
 
-from repro.sweep import jobs as jobs_mod
 from repro.sweep.jobs import JobService, design_affinity
 from repro.sweep.registry import _REGISTRY, Family, register_family
 from repro.sweep.report import canonical_report
@@ -363,6 +364,68 @@ class TestWorkerDeath:
         assert after["summary"]["failed"] == 0
 
 
+#: Directory holding the `started`/`release` files of `_run_gated`.
+_GATE_DIR: list[str] = [""]
+
+
+def _run_gated(handle, scenario):
+    # Files, not an Event, so the gate also works in forked workers.
+    gate = pathlib.Path(_GATE_DIR[0])
+    (gate / "started").touch()
+    deadline = time.time() + 30
+    while not (gate / "release").exists() and time.time() < deadline:
+        time.sleep(0.01)
+    return {"cycles": scenario.seed % 997}
+
+
+class TestStaleResults:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_forged_stale_result_is_ignored(
+        self, tmp_path, temp_family, workers
+    ):
+        if workers and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool tests rely on fork inheritance")
+        temp_family(Family(
+            name="_gated", build=_build_nothing, run=_run_gated,
+            reusable=False,
+        ))
+        spec = {
+            "campaign": {"name": "stale", "seed": 4},
+            "scenarios": [{"family": "_gated"}],
+        }
+        expected = {"cycles": from_dict(spec).scenarios[0].seed % 997}
+        _GATE_DIR[0] = str(tmp_path)
+        try:
+            with JobService(workers=workers) as service:
+                job_id = service.submit(spec)
+                deadline = time.time() + 30
+                while not (tmp_path / "started").exists():
+                    assert time.time() < deadline, "unit never started"
+                    time.sleep(0.01)
+                # Results for the same scenario index, from a dispatch
+                # this job never made and from another job: a late
+                # result of a killed attempt looks exactly like this.
+                forged = {
+                    "key": "_gated()/uniform", "index": 0,
+                    "family": "_gated", "status": "ok",
+                    "metrics": {"cycles": -1},
+                }
+                pool = service._pool
+                for widx in range(pool.size):
+                    for token in ((job_id, 0), ("job-999999", 1)):
+                        pool.results.put((widx, token, [dict(forged)], []))
+                (tmp_path / "release").touch()
+                report = service.result(job_id, timeout=60)
+                status = service.status(job_id)
+        finally:
+            _GATE_DIR[0] = ""
+        [row] = report["scenarios"]
+        assert row["status"] == "ok"
+        assert row["metrics"] == expected
+        assert row["attempts"] == 1
+        assert status["completed"] == 1
+
+
 class TestCancel:
     def test_cancel_running_job(self, temp_family):
         gate = threading.Event()
@@ -427,44 +490,6 @@ class TestCancel:
             job_id = service.submit(SMALL_CAMPAIGN)
             service.result(job_id)
             assert not service.cancel(job_id)
-
-
-class TestModuleLevelAPI:
-    def test_default_service_roundtrip(self):
-        previous = jobs_mod._default_service
-        jobs_mod._default_service = None
-        try:
-            job_id = jobs_mod.submit_campaign(SMALL_CAMPAIGN)
-            report = jobs_mod.job_result(job_id)
-            status = jobs_mod.job_status(job_id)
-            assert status["state"] == "done"
-            assert report["summary"]["ok"] == 3
-            assert not jobs_mod.cancel(job_id)
-            families = jobs_mod.list_families()
-            assert "mt_chain" in families["families"]
-        finally:
-            if jobs_mod._default_service is not None:
-                jobs_mod._default_service.close()
-            jobs_mod._default_service = previous
-
-    def test_configure_replaces_default(self):
-        previous = jobs_mod._default_service
-        jobs_mod._default_service = None
-        try:
-            service = jobs_mod.configure(workers=0, store=True)
-            assert jobs_mod.default_service() is service
-            first = jobs_mod.job_result(
-                jobs_mod.submit_campaign(SMALL_CAMPAIGN)
-            )
-            warm = jobs_mod.job_result(
-                jobs_mod.submit_campaign(SMALL_CAMPAIGN)
-            )
-            assert first["summary"]["ok"] == 3
-            assert warm["summary"]["dedup_hits"] == 3
-        finally:
-            if jobs_mod._default_service is not None:
-                jobs_mod._default_service.close()
-            jobs_mod._default_service = previous
 
 
 class TestRunCampaignCompat:
@@ -602,6 +627,15 @@ class TestObservability:
         # start-ordered
         starts = [s["start_unix"] for s in spans]
         assert starts == sorted(starts)
+        # Inline units run on the service's own thread worker: no span
+        # carries a worker tag (the mark of out-of-process work), and
+        # unit spans are mode="inline" children of the job span.
+        assert all("worker" not in span["attrs"] for span in spans)
+        unit_spans = [s for s in spans if s["name"] == "unit"]
+        assert unit_spans
+        for unit in unit_spans:
+            assert unit["attrs"]["mode"] == "inline"
+            assert unit["parent_id"] == job_span["span_id"]
 
     def test_pooled_trace_merges_worker_spans(self):
         with JobService(workers=2) as service:

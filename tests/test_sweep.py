@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.sweep import (
-    SweepSpecError,
+    SpecError,
     family_names,
     get_family,
     load_spec,
@@ -25,7 +25,7 @@ from repro.sweep import (
 )
 from repro.sweep.registry import Family, register_family
 from repro.sweep.report import render_markdown, write_report
-from repro.sweep.runner import run_scenarios, shard_scenarios
+from repro.sweep.runner import execute_scenario
 from repro.sweep.spec import from_dict
 
 #: A small but representative campaign: three families, grids over
@@ -118,24 +118,20 @@ class TestSpec:
         assert adhoc.key == declared.key
 
     def test_spec_errors(self):
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict({"campaign": {}})  # no scenarios
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict({"scenarios": [{"params": {}}]})  # no family
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict(
                 {"scenarios": [{"family": "x", "grid": {"threads": []}}]}
             )
-        with pytest.raises(SweepSpecError):
+        with pytest.raises(SpecError):
             from_dict(
                 {"scenarios": [{"family": "x", "typo_block": {}}]}
             )
 
     def test_spec_errors_are_structured(self):
-        from repro.sweep.spec import SpecError
-
-        # SweepSpecError is the backwards-compatible alias.
-        assert SpecError is SweepSpecError
         with pytest.raises(SpecError) as excinfo:
             from_dict({"scenarios": [{"params": {}}]})
         err = excinfo.value
@@ -216,18 +212,6 @@ class TestRegistry:
 
 
 class TestRunner:
-    def test_sharding_groups_designs(self):
-        spec = from_dict(SMALL_CAMPAIGN)
-        shards = shard_scenarios(spec, 2)
-        assert sum(len(s) for s in shards) == len(spec.scenarios)
-        # Scenarios of one design key never split across shards.
-        for key in {sc.design_key() for sc in spec.scenarios}:
-            holders = [
-                i for i, shard in enumerate(shards)
-                if any(sc.design_key() == key for sc in shard)
-            ]
-            assert len(holders) == 1
-
     def test_serial_campaign_runs_and_reuses_designs(self):
         spec = from_dict(SMALL_CAMPAIGN)
         report = run_campaign(spec, workers=1)
@@ -317,14 +301,14 @@ class TestRunner:
             },
             metrics={"window": "full"},
         )
-        rows_a = run_scenarios([scenario], engine="compiled")
-        rows_b = run_scenarios([scenario], engine="event")
-        assert rows_a[0]["status"] == "ok", rows_a[0].get("error")
-        variants = rows_a[0]["metrics"]["variants"]
+        row_a = execute_scenario(scenario, engine="compiled")
+        row_b = execute_scenario(scenario, engine="event")
+        assert row_a["status"] == "ok", row_a.get("error")
+        variants = row_a["metrics"]["variants"]
         assert [v["variant"] for v in variants] == [0, 1]
         # Each variant replayed from the same branch point, so variant
         # metrics are engine-invariant and mutually independent.
-        assert rows_a[0]["metrics"] == rows_b[0]["metrics"]
+        assert row_a["metrics"] == row_b["metrics"]
 
 
 class TestReportAndCLI:
