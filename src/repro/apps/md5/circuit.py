@@ -297,6 +297,18 @@ class MD5Hasher:
                                   round_stages=round_stages, engine=engine)
         self.threads = threads
         self._wave_ref = 0
+        # The wave reference tags every token and message-store entry,
+        # so it rewinds with the circuit: a restored hasher is then
+        # indistinguishable from a fresh build.
+        self.sim.add_snapshot_hook(lambda: self._wave_ref, self._load_wave_ref)
+
+    @property
+    def sim(self) -> Simulator:
+        """The circuit's simulator (what snapshot/restore act on)."""
+        return self.circuit.sim
+
+    def _load_wave_ref(self, wave_ref: int) -> None:
+        self._wave_ref = wave_ref
 
     def hash_batch(self, messages: Sequence[bytes]) -> list[str]:
         """Digest up to ``threads`` messages concurrently (one per thread).

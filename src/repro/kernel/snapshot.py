@@ -21,6 +21,17 @@ snapshot is broken for all mutable state — restoring and running never
 mutates the snapshot, so one snapshot supports any number of restores
 (the basis of rewind-style :meth:`~repro.kernel.simulator.Simulator.fork`).
 
+**Callbacks are structure.**  A bound method held in component state
+(a barrier's ``on_release``, a stage's ``fn`` bound to the design
+object that built it) is wiring, not data: snapshots keep it by
+reference wherever it sits — a top-level attribute or inside a
+list/tuple/dict/set — so its ``__self__`` is never copied and restore
+never rebinds it.  A plain ``copy.deepcopy`` would copy the owner (and
+with it the owner's simulator, stores and engine), and after a restore
+the component would call a *copy* of its owner.  State that lives on a
+callback owner must therefore be registered through
+:meth:`~repro.kernel.simulator.Simulator.add_snapshot_hook`.
+
 Restore is **identity-preserving**: compiled settle/tick closures bind
 lists (monitor columns, endpoint logs, the seq-store value list) and
 helper objects (arbiters) at compile time, so restore writes *through*
@@ -33,8 +44,10 @@ combinational net from the restored registers.
 
 Contract for components (see ``docs/engines.md``): registered state must
 live in ``__dict__`` attributes that ``copy.deepcopy`` can handle —
-plain data, or containers of it.  Attributes holding live iterators (an
-in-flight latency *iterable*) are the one known exception and raise
+plain data, or containers of it (bound methods excepted, see above;
+one nested inside some other object is deep-copied as usual).
+Attributes holding live iterators (an in-flight latency *iterable*)
+are the one known exception and raise
 :class:`~repro.kernel.errors.SnapshotError` naming the attribute.
 Simulator-level observers are not snapshotted; a trace recorder keeps
 accumulating across a restore.
@@ -43,6 +56,7 @@ accumulating across a restore.
 from __future__ import annotations
 
 import copy
+import types
 from typing import TYPE_CHECKING, Any
 
 from repro.kernel.component import Component
@@ -68,6 +82,72 @@ _STRUCTURAL_KEYS = frozenset(
 )
 
 _MISSING = object()
+
+#: Types ``copy.deepcopy`` returns as-is; :func:`_copy_state` answers
+#: them without a call into the copy module.
+_ATOMIC = frozenset(
+    {type(None), bool, int, float, complex, str, bytes, range, type, types.FunctionType}
+)
+
+
+def _copy_state(value: Any, memo: dict[int, Any]) -> Any:
+    """``copy.deepcopy(value, memo)`` under the callbacks-are-structure rule.
+
+    Bound methods — at the top level or inside list/tuple/dict/set
+    containers — are returned by reference, so their ``__self__`` is
+    never copied.  Everything else is copied exactly as ``deepcopy``
+    would, sharing *memo* (aliasing and the infra seeding included).
+    The rule lives here, per call, rather than in the copy module's
+    process-wide dispatch table.
+    """
+    cls = type(value)
+    if cls in _ATOMIC or cls is types.MethodType:
+        return value
+    if cls not in (list, tuple, dict, set, frozenset):
+        return copy.deepcopy(value, memo)
+    found = memo.get(id(value), _MISSING)
+    if found is not _MISSING:
+        return found
+    if cls is list:
+        out: Any = []
+        _memoize(value, out, memo)
+        out.extend([_copy_state(item, memo) for item in value])
+        return out
+    if cls is dict:
+        out = {}
+        _memoize(value, out, memo)
+        for key, item in value.items():
+            out[_copy_state(key, memo)] = _copy_state(item, memo)
+        return out
+    items = [_copy_state(item, memo) for item in value]
+    found = memo.get(id(value), _MISSING)
+    if found is not _MISSING:
+        # Copied while copying its own items (a cycle through a list).
+        return found
+    if cls is set:
+        out = set(items)
+    elif all(new is old for new, old in zip(items, value)):
+        # An immutable container of shared items is itself shared.
+        return value
+    else:
+        out = cls(items)
+    _memoize(value, out, memo)
+    return out
+
+
+def _memoize(value: Any, out: Any, memo: dict[int, Any]) -> None:
+    """Record *out* as the copy of *value* and keep *value* alive.
+
+    The memo is keyed by ``id``: as in ``deepcopy``, the original must
+    outlive the memo so a later temporary (a hook's fresh save blob)
+    can never reuse its id and alias the wrong copy.
+    """
+    memo[id(value)] = out
+    keep = memo.get(id(memo))
+    if keep is None:
+        memo[id(memo)] = [value]
+    else:
+        keep.append(value)
 
 
 def _infra_memo(sim: "Simulator") -> tuple[dict[int, Any], frozenset[int]]:
@@ -104,7 +184,7 @@ def _snapshot_component(
             # list of them) is structure: shared, never restored.
             continue
         try:
-            blob[key] = copy.deepcopy(value, memo)
+            blob[key] = _copy_state(value, memo)
         except Exception as exc:
             raise SnapshotError(
                 f"{comp.path}: attribute {key!r} cannot be snapshotted "
@@ -121,10 +201,10 @@ def _restore_component(
     for key, snap_val in blob.items():
         cur = ns.get(key, _MISSING)
         if cur is snap_val:
-            # Identical object: an infra reference deepcopy kept by
-            # identity, or an unchanged interned immutable.
+            # Identical object: an infra reference or bound method
+            # kept by identity, or an unchanged interned immutable.
             continue
-        val = copy.deepcopy(snap_val, memo)
+        val = _copy_state(snap_val, memo)
         # Identity-preserving paths first: compiled closures bind these
         # containers/objects, so the state must flow *through* them.
         if type(cur) is list and type(val) is list:
@@ -182,12 +262,10 @@ def take_snapshot(sim: "Simulator") -> SimSnapshot:
         _snapshot_component(comp, memo, infra_ids)
         for comp in sim._components
     ]
-    values = copy.deepcopy(sim._store.values, memo)
+    values = _copy_state(sim._store.values, memo)
     seq = sim._seq
-    seq_values = copy.deepcopy(seq.values, memo) if seq is not None else None
-    extras = []
-    for save, _load in sim._snapshot_hooks:
-        extras.append(copy.deepcopy(save(), memo))
+    seq_values = _copy_state(seq.values, memo) if seq is not None else None
+    extras = [_copy_state(save(), memo) for save, _load in sim._snapshot_hooks]
     return SimSnapshot(sim.cycle, values, seq_values, blobs, extras, sim)
 
 
@@ -212,7 +290,7 @@ def restore_snapshot(sim: "Simulator", snap: SimSnapshot) -> None:
         raise SnapshotError(
             "signal count changed since the snapshot was taken"
         )
-    store_values[:] = copy.deepcopy(snap._values, memo)
+    store_values[:] = _copy_state(snap._values, memo)
     seq = sim._seq
     if snap._seq_values is not None and seq is not None:
         if len(snap._seq_values) != len(seq.values):
@@ -220,11 +298,11 @@ def restore_snapshot(sim: "Simulator", snap: SimSnapshot) -> None:
                 "sequential-state layout changed since the snapshot "
                 "was taken (rebuild with different collaborators?)"
             )
-        seq.values[:] = copy.deepcopy(snap._seq_values, memo)
+        seq.values[:] = _copy_state(snap._seq_values, memo)
     for comp, blob in zip(sim._components, snap._blobs):
         _restore_component(comp, blob, memo)
     for (_save, load), blob in zip(sim._snapshot_hooks, snap._extras):
-        load(copy.deepcopy(blob, memo))
+        load(_copy_state(blob, memo))
     sim.cycle = snap.cycle
     # Everything is stale after an out-of-band rewrite: force the next
     # settle to re-derive the full combinational net and re-arm every

@@ -12,14 +12,17 @@ family                    structural params                      reusable
 ``mt_pipeline``           threads, n_stages, meb, width          yes
 ``mt_chain``              threads, n_funcs, width                yes
 ``mt_ring``               threads, n_funcs, trips, width         yes
-``md5``                   threads, meb, round_stages             no
-``processor``             threads, meb                           no
+``md5``                   threads, meb, round_stages             yes
+``processor``             threads, meb                           yes
 ========================  =====================================  =========
 
 Reusable families are built once per worker and rewound between
 scenarios through the kernel's columnar snapshot/restore; traffic is
 applied exclusively through ``push`` so a warm simulator never needs a
-recompile.  Stimulus kinds for the channel families:
+recompile.  The application families qualify too: the processor keeps
+all driver state in components, and the MD5 hasher registers its round
+counter and wave reference as snapshot hooks.  Stimulus kinds for the
+channel families:
 
 * ``uniform`` — ``items_per_thread`` items on every thread.
 * ``active`` — the 1/M-law shape: ``items_per_thread`` items on the
@@ -902,7 +905,11 @@ register_family(Family(
     name="md5",
     build=_build_md5,
     run=_run_md5,
-    reusable=False,
+    # The hasher's round counter and wave reference rewind through
+    # snapshot hooks, and the barrier's release callback stays bound to
+    # the live circuit (callbacks are structure), so a restored hasher
+    # is indistinguishable from a fresh build.
+    reusable=True,
     description="multithreaded elastic MD5 (params: threads, meb, "
                 "round_stages)",
     params={"threads": 4, "meb": "reduced", "round_stages": 1},

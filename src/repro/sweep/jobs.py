@@ -70,6 +70,7 @@ import hashlib
 import itertools
 import multiprocessing
 import pathlib
+import pickle
 import queue
 import threading
 import time
@@ -190,7 +191,11 @@ def _worker_main(index: int, tasks, results, abandoned=None) -> None:
 
     Each message is ``(token, unit, engine, opts)`` and each result
     ``(index, token, rows, spans)``: the echoed token lets the
-    dispatcher drop results of dispatches it no longer waits for.
+    dispatcher drop results of dispatches it no longer waits for.  A
+    process worker pickles its result itself before the put: the
+    queue's feeder thread would otherwise drop an unpicklable row with
+    nothing but a stderr line, leaving the unit in flight forever.
+    Such a unit gets ``error`` rows naming the pickling failure instead.
     ``opts["profile"]`` attaches the kernel profiler per scenario;
     ``trace_id``/``parent`` seed a :class:`~repro.obs.trace.Tracer`
     whose finished spans (unit -> scenario -> build/simulate/metrics)
@@ -227,9 +232,19 @@ def _worker_main(index: int, tasks, results, abandoned=None) -> None:
             unit_rows = _status_rows(
                 unit, index, "error", f"{type(exc).__name__}: {exc}"
             )
-        if inline and abandoned.is_set():
-            return
-        results.put((index, token, unit_rows, tracer.spans()))
+        if inline:
+            if abandoned.is_set():
+                return
+            results.put((index, token, unit_rows, tracer.spans()))
+            continue
+        spans = tracer.spans()
+        try:
+            payload = pickle.dumps((index, token, unit_rows, spans))
+        except Exception as exc:
+            message = f"result rows cannot be sent to the service ({type(exc).__name__}: {exc})"
+            rows = _status_rows(unit, index, "error", message)
+            payload = pickle.dumps((index, token, rows, spans))
+        results.put(payload)
 
 
 class _Worker:
@@ -1252,9 +1267,7 @@ class JobService:
             if self.pool_size:  # inline mode reports no pool
                 self._m_inflight.set(len(inflight))
             try:
-                widx, token, unit_rows, spans = pool.results.get(
-                    timeout=_POLL_S
-                )
+                result = pool.results.get(timeout=_POLL_S)
             except queue.Empty:
                 now = time.time()
                 for i in list(inflight):
@@ -1274,6 +1287,9 @@ class JobService:
                             "respawned)",
                         )
                 continue
+            if type(result) is bytes:  # pickled by a process worker
+                result = pickle.loads(result)
+            widx, token, unit_rows, spans = result
             entry = inflight.get(widx)
             if entry is None or entry[0] != token:
                 # A stale result: it answers a dispatch the watchdog

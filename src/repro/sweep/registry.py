@@ -15,12 +15,14 @@ callables:
     Apply the scenario's stimulus, drive the simulation, and return
     JSON-serializable metrics.
 
-``reusable=True`` families keep no driver state outside the simulator,
-so the campaign runner builds them once per worker and rewinds between
+``reusable=True`` families keep no driver state outside the simulator
+(driver state either lives in components or is registered through
+:meth:`~repro.kernel.simulator.Simulator.add_snapshot_hook`, as the MD5
+hasher's round counter and wave reference are), so the campaign runner
+builds them once per worker and rewinds ``handle.sim`` between
 scenarios with the kernel's columnar snapshot/restore instead of a full
-recompile.  Families with software drivers holding their own state
-(MD5's hasher, the processor's program loader) set ``reusable=False``
-and are rebuilt per scenario.
+recompile.  Families whose drivers hold other state outside the
+simulator set ``reusable=False`` and are rebuilt per scenario.
 
 Built-in families live in :mod:`repro.sweep.families` and register
 themselves on import; external code can add more with

@@ -25,7 +25,7 @@ import pytest
 from repro.sweep.jobs import JobService, design_affinity
 from repro.sweep.registry import _REGISTRY, Family, register_family
 from repro.sweep.report import canonical_report
-from repro.sweep.runner import run_campaign
+from repro.sweep.runner import execute_scenario, run_campaign
 from repro.sweep.spec import CampaignSpec, SpecError, from_dict, make_scenario
 from repro.sweep.store import ResultStore
 
@@ -275,6 +275,32 @@ class TestDesignCacheAffinity:
         assert {r["design_cache"] for r in second["scenarios"]} == {"hit"}
         assert _metrics_by_key(first) == _metrics_by_key(second)
 
+    @pytest.mark.parametrize("engine", ["naive", "event", "compiled"])
+    def test_md5_design_rewinds_instead_of_rebuilding(self, engine):
+        def md5_job(seed):
+            return {
+                "campaign": {"name": "md5-reuse", "seed": seed},
+                "scenarios": [{
+                    "family": "md5",
+                    "params": {"threads": 2},
+                    "stimulus": {"messages": 3, "size": 40},
+                }],
+            }
+
+        with JobService(workers=0, engine=engine) as service:
+            first = service.result(service.submit(md5_job(1)))
+            second = service.result(service.submit(md5_job(2)))
+        assert first["scenarios"][0]["design_cache"] == "build"
+        [row] = second["scenarios"]
+        assert row["status"] == "ok", row.get("error")
+        assert row["design_cache"] == "hit"
+        scenario = from_dict(md5_job(2)).scenarios[0]
+        assert scenario.seed != from_dict(md5_job(1)).scenarios[0].seed
+        fresh = execute_scenario(scenario, engine)
+        assert fresh["design_cache"] == "none"
+        assert row["metrics"] == fresh["metrics"]
+        assert row["metrics"]["digests_ok"] is True
+
     def test_affinity_is_stable(self):
         key = "mt_chain(n_funcs=2,threads=2)"
         assert design_affinity(key, 4) == design_affinity(key, 4)
@@ -323,6 +349,10 @@ def _run_trivial(handle, scenario):
     return {"cycles": 1}
 
 
+def _run_unpicklable(handle, scenario):
+    return {"cycles": 1, "hook": lambda: None}
+
+
 class TestWorkerDeath:
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -362,6 +392,43 @@ class TestWorkerDeath:
         assert stats["workers"]["respawns"] == 2
         assert all(stats["workers"]["alive"])
         assert after["summary"]["failed"] == 0
+
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool tests rely on fork inheritance",
+    )
+    def test_unpicklable_row_becomes_an_error_row(self, temp_family):
+        temp_family(Family(
+            name="_unpicklable", build=_build_nothing,
+            run=_run_unpicklable, reusable=False,
+        ))
+        spec = {
+            "campaign": {"name": "pickle", "seed": 1},
+            "scenarios": [
+                {"family": "_unpicklable"},
+                {
+                    "family": "mt_chain",
+                    "params": {"threads": 2, "n_funcs": 1},
+                    "stimulus": {"kind": "uniform", "items_per_thread": 3},
+                },
+            ],
+        }
+        service = JobService(workers=2)
+        try:
+            report = service.result(service.submit(spec), timeout=30)
+        finally:
+            closer = threading.Thread(target=service.close, daemon=True)
+            closer.start()
+            closer.join(timeout=30)
+        assert not closer.is_alive(), "service close blocked"
+        rows = {r["family"]: r for r in report["scenarios"]}
+        bad = rows["_unpicklable"]
+        assert bad["status"] == "error"
+        assert "cannot be sent" in bad["error"]
+        assert "pickle" in bad["error"]
+        assert bad["attempts"] == 1  # a design error, never retried
+        assert rows["mt_chain"]["status"] == "ok"
 
 
 #: Directory holding the `started`/`release` files of `_run_gated`.

@@ -10,7 +10,9 @@ The contract under test (see ``repro/kernel/snapshot.py``):
 * restore is identity-preserving: the lists and helper objects bound
   into compiled closures keep their identities;
 * restore composes with ``rebuild()`` (collaborator swaps) and rewinds
-  out-of-band inputs (``push``) applied after the snapshot.
+  out-of-band inputs (``push``) applied after the snapshot;
+* callbacks are structure: bound methods in component state keep their
+  live ``__self__`` through any number of snapshots and restores.
 """
 
 from __future__ import annotations
@@ -271,3 +273,99 @@ def test_md5_fork_mid_wave_matches_uninterrupted():
         for _t, state in second
     ]
     assert digests == [hashlib.md5(m).hexdigest() for m in msgs]
+
+
+class _CallbackOwner:
+    """A non-component callback owner that must never be copied."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def hit(self, *_args):
+        self.calls += 1
+
+    def __deepcopy__(self, _memo):
+        raise AssertionError("a snapshot copied a callback owner")
+
+
+def test_bound_methods_in_state_are_kept_by_reference():
+    from repro.kernel import Component, Simulator
+
+    owner = _CallbackOwner()
+
+    class Holder(Component):
+        def __init__(self):
+            super().__init__("holder")
+            self.out = self.output("out", init=0)
+            self.callback = owner.hit
+            self.callbacks = [owner.hit, (owner.hit, 1)]
+            self.by_name = {"hit": owner.hit}
+            self.value = 0
+
+        def combinational(self):
+            self.out.set(self.value)
+
+        def capture(self):
+            self._next = self.value + 1
+
+        def commit(self):
+            self.value = self._next
+            self.callback()
+            return True
+
+        def reset(self):
+            self.value = 0
+
+    holder = Holder()
+    sim = Simulator(engine="compiled")
+    sim.add(holder)
+    sim.reset()
+    wired = (holder.callback, holder.callbacks[0], holder.by_name["hit"])
+    snap = sim.snapshot()
+    sim.run(cycles=3)
+    sim.restore(snap)
+    sim.run(cycles=2)
+    assert holder.value == 2
+    assert owner.calls == 5  # every call reached the live owner
+    for method in (holder.callback, holder.callbacks[0],
+                   holder.callbacks[1][0], holder.by_name["hit"]):
+        assert method.__self__ is owner
+    assert (holder.callback, holder.callbacks[0],
+            holder.by_name["hit"]) == wired
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_restore_keeps_callbacks_bound_to_live_design(engine):
+    """Hash, rewind to pristine, hash again: the barrier's release
+    callback (bound to the circuit) and the processor's decode function
+    (bound to the processor) must still reach the live objects, or the
+    round counter desynchronizes under the interpretive engines."""
+    from repro.apps.md5 import MD5Hasher
+    from repro.apps.processor import Processor, programs
+
+    hasher = MD5Hasher(threads=4, engine=engine)
+    circuit = hasher.circuit
+    pristine = hasher.sim.snapshot()
+    msgs = [b"", b"abc", bytes(range(70)), b"rewind me"]
+    expected = [hashlib.md5(m).hexdigest() for m in msgs]
+    assert hasher.hash_messages(msgs) == expected
+    cycles = hasher.sim.cycle
+    hasher.sim.restore(pristine)
+    assert hasher._wave_ref == 0  # rewound through its snapshot hook
+    assert hasher.hash_messages(msgs) == expected
+    assert hasher.sim.cycle == cycles
+    assert circuit.barrier._on_release.__self__ is circuit
+
+    cpu = Processor(threads=2, engine=engine)
+    pristine = cpu.sim.snapshot()
+    program = programs.sum_to_n(6)
+    for _ in range(2):
+        cpu.sim.restore(pristine)
+        for t in range(cpu.threads):
+            cpu.load_program(t, program.source)
+        cpu.run()
+        assert all(
+            cpu.mem_word(t, program.check[1]) == program.expected
+            for t in range(cpu.threads)
+        )
+    assert cpu.decode.fn.__self__ is cpu
