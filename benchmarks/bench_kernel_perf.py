@@ -16,7 +16,10 @@ CI.  Two modes:
 
 Set ``BENCH_SMOKE=1`` to shrink every workload (CI's benchmark smoke
 job); the JSON is still produced, only with smaller configurations and
-looser floors.
+looser floors.  Every measurement runs :data:`REPS` times, with the
+engines interleaved rep by rep: full mode records the best rep (the
+statistic of the committed baseline), smoke mode gates on the median so
+a single noisy read on a shared runner can neither fail nor pass it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import time
 
 from repro.apps.md5 import MD5Hasher
@@ -41,6 +45,8 @@ from repro.sweep.families import (
 )
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+#: Repetitions of every measurement, in both modes.
+REPS = 3
 # Anchored through resolve() so results land next to this file no matter
 # what the CWD (or a relative __file__) is when the module runs.
 RESULTS_PATH = (
@@ -159,7 +165,7 @@ def _run_mt_bursty(engine):
     """
     if SMOKE:
         # Long enough that the idle tail dominates even on noisy shared
-        # runners (the single-rep smoke measurement needs headroom).
+        # runners.
         threads, stages, burst, bursts, gap = 2, 2, 4, 2, 500
     else:
         threads, stages, burst, bursts, gap = 8, 3, 15, 5, 2000
@@ -287,25 +293,41 @@ def _measure_ensemble_family(family, params, stimulus, width, reps):
         assert row["metrics"] == ref["metrics"], (
             f"{family}: ensemble metrics diverge from serial"
         )
-    best_serial = best_ensemble = float("inf")
+    serial, ensemble = [], []
     for _ in range(reps):
         start = time.perf_counter()
         for scenario in scenarios:
             execute_scenario(scenario, None, cache=serial_cache)
-        best_serial = min(best_serial, time.perf_counter() - start)
+        serial.append(time.perf_counter() - start)
         start = time.perf_counter()
         execute_ensemble(scenarios, None, cache=ens_cache)
-        best_ensemble = min(best_ensemble, time.perf_counter() - start)
-    return round(best_serial / best_ensemble, 2)
+        ensemble.append(time.perf_counter() - start)
+    # Aggregate scenarios/sec of the batch over that of the serial runs.
+    ensemble_rate = _summary([1 / t for t in ensemble])
+    serial_rate = _summary([1 / t for t in serial])
+    return round(ensemble_rate / serial_rate, 2)
 
 
-def _measure(runner, engine, reps):
-    best_cps = 0.0
-    cycles = fingerprint = None
+def _summary(rates: list[float]) -> float:
+    """The gated statistic of per-rep rates: best in full mode, median
+    in smoke mode (see the module docstring)."""
+    return statistics.median(rates) if SMOKE else max(rates)
+
+
+def _measure(runners, reps):
+    """Run ``runners`` (label -> zero-argument runner) *reps* times,
+    interleaved rep by rep, so drift on a shared host hits every label
+    alike.  Returns label -> (summarized cps, cycles, fingerprint)."""
+    rates: dict[str, list[float]] = {label: [] for label in runners}
+    last: dict[str, tuple] = {}
     for _ in range(reps):
-        cycles, elapsed, fingerprint = runner(engine)
-        best_cps = max(best_cps, cycles / elapsed)
-    return best_cps, cycles, fingerprint
+        for label, runner in runners.items():
+            cycles, elapsed, fingerprint = runner()
+            rates[label].append(cycles / elapsed)
+            last[label] = (cycles, fingerprint)
+    return {
+        label: (_summary(rates[label]), *last[label]) for label in runners
+    }
 
 
 # ----------------------------------------------------------------------
@@ -338,12 +360,15 @@ def _run_pipeline_after_profile():
 
 def measure_profile_overhead(reps):
     """Returns (overhead ratio, plain cps, after-detach cps)."""
-    plain_cps, _cycles, plain_fp = _measure(
-        _run_pipeline, "compiled", reps
+    measured = _measure(
+        {
+            "plain": lambda: _run_pipeline("compiled"),
+            "after": _run_pipeline_after_profile,
+        },
+        reps,
     )
-    after_cps, _cycles, after_fp = _measure(
-        lambda _engine: _run_pipeline_after_profile(), "compiled", reps
-    )
+    plain_cps, _cycles, plain_fp = measured["plain"]
+    after_cps, _cycles, after_fp = measured["after"]
     assert plain_fp == after_fp, (
         "profiler attach/detach changed behaviour"
     )
@@ -352,19 +377,26 @@ def measure_profile_overhead(reps):
 
 def run_comparison():
     """Time every workload under all three engines; return the results."""
-    reps = 1 if SMOKE else 3
+    reps = REPS
     results = {
         "mode": "smoke" if SMOKE else "full",
+        "statistic": "median" if SMOKE else "best",
+        "reps": reps,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "workloads": {},
     }
     for name, (runner, _efloor, _cfloor) in WORKLOADS.items():
-        naive_cps, _cycles, naive_fp = _measure(runner, "naive", reps)
-        event_cps, _cycles, event_fp = _measure(runner, "event", reps)
-        compiled_cps, cycles, compiled_fp = _measure(
-            runner, "compiled", reps
+        measured = _measure(
+            {
+                engine: (lambda engine=engine: runner(engine))
+                for engine in ("naive", "event", "compiled")
+            },
+            reps,
         )
+        naive_cps, _cycles, naive_fp = measured["naive"]
+        event_cps, _cycles, event_fp = measured["event"]
+        compiled_cps, cycles, compiled_fp = measured["compiled"]
         assert naive_fp == event_fp == compiled_fp, (
             f"{name}: engines disagree on behaviour"
         )
@@ -436,7 +468,7 @@ def test_engine_comparison():
     print(f"  profile_overhead (detached profiler, mt_pipeline): "
           f"{overhead:.2f}x")
     # Nominally 1.0; the floor only catches a profiler that leaves
-    # wrappers behind after detach (single-rep smoke runs are noisy).
+    # wrappers behind after detach (smoke runs are noisy).
     required = 0.5 if SMOKE else 0.9
     assert overhead >= required, (
         f"detached profiler costs {(1 - overhead) * 100:.0f}% on "

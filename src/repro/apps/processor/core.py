@@ -52,7 +52,7 @@ from repro.cost.model import (
     mux_tree_luts,
     shifter_luts,
 )
-from repro.core.mtchannel import one_hot_thread
+from repro.core.mtchannel import one_hot_thread, one_hot_vectors
 from repro.kernel import Component, Simulator, WatchedPredicate
 from repro.kernel.errors import SimulationError
 from repro.kernel.slots import SeqPlan
@@ -335,37 +335,33 @@ class PCUnit(Component):
         ovb, ove = out_valid
         orb, ore = out_ready
         irb, ire = in_ready
-        unmasked = self.policy is GrantPolicy.UNMASKED
-        masked_only = self.policy is GrantPolicy.MASKED
+        requests_of = self.policy.requests_fast
         grant_fast = self.arbiter.grant_fast
-        falses = [False] * self.threads
-        trues = [True] * self.threads
+        threads = self.threads
+        falses = [False] * threads
+        trues = [True] * threads
+        one_hot = one_hot_vectors(threads)
         unknown = X
         # Compile-time binding of the (possibly re-homed) state block;
         # rebuild()/reset() recompiles, so the binding stays fresh.
         sstore = self._sstore
         sq = self._sq
-        sqe = sq + self.threads
+        sqe = sq + threads
 
         def step() -> bool:
             pending = sstore[sq:sqe]
             readies = bools(values[orb:ore])
-            if unmasked:
-                requests = [pc is not None for pc in pending]
+            if pending.count(None) == threads:
+                grant = None
             else:
-                requests = [
-                    pc is not None and r for pc, r in zip(pending, readies)
-                ]
-                if not masked_only and True not in requests:
-                    requests = [pc is not None for pc in pending]
-            grant = grant_fast(requests)
+                valids = [pc is not None for pc in pending]
+                grant = grant_fast(requests_of(valids, readies))
             self._grant = grant
             if grant is None:
                 new_valid = falses
                 new_data = unknown
             else:
-                new_valid = falses[:]
-                new_valid[grant] = True
+                new_valid = one_hot[grant]
                 new_data = PCToken(pending[grant])
             changed = False
             if values[ovb:ove] != new_valid:
@@ -374,7 +370,7 @@ class PCUnit(Component):
                     dirty.update(valid_readers)
                 changed = True
             if values[irb:ire] != trues:
-                values[irb:ire] = trues[:]
+                values[irb:ire] = trues
                 if ready_readers:
                     dirty.update(ready_readers)
                 changed = True
@@ -467,7 +463,7 @@ class PCUnit(Component):
         def capture(cycle) -> None:
             g = self._grant
             transferred = g is not None and as_bool(values[orb + g])
-            t = one_hot_thread(bools(values[ivb:ive]), inp_path)
+            t = one_hot_thread(values[ivb:ive], inp_path)
             if t is not None and not as_bool(values[irb + t]):
                 t = None
             if not transferred and t is None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import and_
 
 
 class GrantPolicy(enum.Enum):
@@ -42,6 +43,22 @@ class GrantPolicy(enum.Enum):
         if self is GrantPolicy.UNMASKED:
             return list(valids)
         return masked if any(masked) else list(valids)
+
+    def requests_fast(self, valids: list, readies: list) -> list:
+        """:meth:`requests` for canonical-bool vectors (hot path).
+
+        Builds the masked vector with one C-speed ``map(and_)`` only when
+        some downstream thread is not ready; otherwise — and whenever the
+        fallback applies — returns *valids* itself, so callers must not
+        mutate the result.  Both vectors must hold real ``True``/``False``
+        entries (``&`` is not ``and`` for truthy non-bools).
+        """
+        if self is GrantPolicy.UNMASKED or False not in readies:
+            return valids
+        masked = list(map(and_, valids, readies))
+        if self is GrantPolicy.MASKED or True in masked:
+            return masked
+        return valids
 
 
 class RoundRobinArbiter:
@@ -86,21 +103,25 @@ class RoundRobinArbiter:
     def grant_fast(self, requests: list[bool]) -> int | None:
         """:meth:`grant` for canonical-bool request vectors (hot path).
 
-        Replaces the rotating modulo scan with two C-speed
-        ``list.index(True, ...)`` probes (at-or-after the pointer, then
-        the wrapped prefix).  Callers must pass real ``True``/``False``
-        entries — the batched handshake paths all normalize through
-        :func:`repro.kernel.values.bools` first — since ``index`` matches
-        by equality, not truthiness.
+        Replaces the rotating modulo scan with C-speed probes: one
+        ``True in`` test answers the no-request case, one
+        ``list.index(True)`` finds the first request, and only when that
+        lies before the pointer is the tail past the pointer searched.
+        Callers must pass real ``True``/``False`` entries — the batched
+        handshake paths all normalize through
+        :func:`repro.kernel.values.bools` first — since ``in`` and
+        ``index`` match by equality, not truthiness.
         """
+        if True not in requests:
+            return None
+        first = requests.index(True)
         pointer = self._pointer
-        try:
-            return requests.index(True, pointer)
-        except ValueError:
-            try:
-                return requests.index(True, 0, pointer)
-            except ValueError:
-                return None
+        if first >= pointer:
+            return first
+        tail = requests[pointer:]
+        if True in tail:
+            return pointer + tail.index(True)
+        return first
 
     def note(self, granted: int | None, transferred: bool) -> None:
         """Record this cycle's outcome (called from the owner's capture)."""

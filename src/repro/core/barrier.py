@@ -21,6 +21,7 @@ through transparently until its transfer completes, returning it to IDLE
 from __future__ import annotations
 
 import math
+from operator import and_
 from typing import Callable, Sequence
 
 from repro.core.mtchannel import MTChannel
@@ -178,22 +179,27 @@ class Barrier(Component):
         participants = frozenset(self.participants)
         everyone = len(participants) == self.threads
         rng = range(self.threads)
+        falses = [False] * self.threads
         sstore = self._sstore
         fb = self._sq
         fe = fb + self.threads
 
         def step() -> bool:
             fsm = sstore[fb:fe]
-            if everyone:
-                passing = [state == FREE for state in fsm]
-            else:
-                passing = [
-                    t not in participants or fsm[t] == FREE for t in rng
-                ]
             in_valid = bools(values[uvb:uve])
             in_ready = bools(values[drb:dre])
-            new_valid = [v and p for v, p in zip(in_valid, passing)]
-            new_ready = [r and p for r, p in zip(in_ready, passing)]
+            if everyone and FREE not in fsm:
+                # Closed for every thread: nothing passes either way.
+                new_valid = new_ready = falses
+            else:
+                if everyone:
+                    passing = [state == FREE for state in fsm]
+                else:
+                    passing = [
+                        t not in participants or fsm[t] == FREE for t in rng
+                    ]
+                new_valid = list(map(and_, in_valid, passing))
+                new_ready = list(map(and_, in_ready, passing))
             changed = False
             if values[dvb:dve] != new_valid:
                 values[dvb:dve] = new_valid

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.arbiter import GrantPolicy, RoundRobinArbiter
-from repro.core.mtchannel import MTChannel, one_hot_thread
+from repro.core.mtchannel import MTChannel, one_hot_thread, one_hot_vectors
 from repro.elastic.endpoints import Pattern, _pattern_fn
 from repro.kernel.component import Component
 from repro.kernel.slots import SeqPlan
@@ -166,10 +166,10 @@ class MTSource(Component):
         data_readers = store.readers_of((self.channel.data,))
         vb, ve = valid_blk
         rb, re_ = ready_blk
-        requests_of = self.policy.requests
+        requests_of = self.policy.requests_fast
         grant_fast = self.arbiter.grant_fast
-        rng = range(self.threads)
         falses = [False] * self.threads
+        one_hot = one_hot_vectors(self.threads)
         trivial = self._gates_trivial
         sstore = self._sstore
         sq = self._sq
@@ -179,21 +179,18 @@ class MTSource(Component):
             index = sstore[sq:sqe]
             items = self._items
             if trivial and not self._blocked:
-                eligible = [index[t] < len(items[t]) for t in rng]
+                eligible = [i < len(q) for i, q in zip(index, items)]
             else:
                 # General gates may return truthy non-bools; normalize so
                 # the arbiter's index scan stays exact.
                 eligible = list(map(bool, self._eligible()))
-            chosen = grant_fast(
-                requests_of(eligible, bools(values[rb:re_]))
-            )
+            chosen = grant_fast(requests_of(eligible, bools(values[rb:re_])))
             self._chosen = chosen
             if chosen is None:
                 new_valid = falses
                 new_data = X
             else:
-                new_valid = falses[:]
-                new_valid[chosen] = True
+                new_valid = one_hot[chosen]
                 new_data = items[chosen][index[chosen]]
             changed = False
             if values[vb:ve] != new_valid:
@@ -245,20 +242,25 @@ class MTSource(Component):
 
         def capture(cycle) -> None:
             chosen = self._chosen
-            transferred = chosen is not None and as_bool(values[rb + chosen])
-            index = svalues[sq:sqe]
-            if transferred:
+            if chosen is not None and as_bool(values[rb + chosen]):
                 sent.append((cycle, chosen, values[data_slot]))
+                index = svalues[sq:sqe]
                 index[chosen] += 1
-            arb.note(chosen, transferred)
-            self._next = (index, cycle + 1)
+                arb.note(chosen, True)
+                self._next = (index, cycle + 1)
+            else:
+                # Nothing injected: the stream positions stay as they are.
+                arb.note(chosen, False)
+                self._next = (None, cycle + 1)
 
         def commit() -> bool:
             changed = arb.commit()
             nxt = self._next
             if nxt is not None:
-                changed = changed or svalues[sq:sqe] != nxt[0]
-                svalues[sq:sqe] = nxt[0]
+                index = nxt[0]
+                if index is not None:
+                    changed = changed or svalues[sq:sqe] != index
+                    svalues[sq:sqe] = index
                 self._cycle = nxt[1]
                 self._next = None
             return changed
@@ -411,26 +413,15 @@ class MTSink(Component):
         last: list[Any] = [None]
 
         def capture(cycle) -> None:
-            # Valid slots are written as canonical bools by producing
-            # steps, so raw count/index scans are exact once X has been
-            # ruled out — the X check comes first, exactly like the
-            # scalar path's bools() normalization.
-            vs = values[vb:ve]
-            if X in vs:
-                bools(vs)  # raises exactly like the scalar path
-            count = vs.count(True)
-            if count == 1:
-                active = vs.index(True)
-                if as_bool(values[rb + active]):
-                    data = values[data_slot]
-                    received.append((cycle, active, data))
-                    last[0] = (active, data)
-                else:
-                    last[0] = None
-            elif count == 0:
-                last[0] = None
+            # The raw slice goes through the same canonical check as the
+            # scalar path: X raises, truthy non-bools count as valid.
+            active = one_hot_thread(values[vb:ve], ch_path)
+            if active is not None and as_bool(values[rb + active]):
+                data = values[data_slot]
+                received.append((cycle, active, data))
+                last[0] = (active, data)
             else:
-                one_hot_thread(bools(vs), ch_path)  # raises ProtocolError
+                last[0] = None
             self._next_cycle = cycle + 1
 
         def repeat(k, start_cycle) -> None:

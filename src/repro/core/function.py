@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable
 
-from repro.core.mtchannel import MTChannel, one_hot_thread
+from repro.core.mtchannel import MTChannel, one_hot_thread, one_hot_vectors
 from repro.elastic.function import LatencyPolicy
 from repro.kernel.component import Component
 from repro.kernel.errors import EnsembleUnsupported, SimulationError
@@ -113,16 +113,16 @@ class MTFunction(Component):
         orb, ore = out_ready
         fn = self.fn
         falses = [False] * self.threads
+        one_hot = one_hot_vectors(self.threads)
         inp_path = self.inp.path
 
         def step() -> bool:
-            active = one_hot_thread(bools(values[ivb:ive]), inp_path)
+            active = one_hot_thread(values[ivb:ive], inp_path)
             if active is None:
                 new_valid = falses
                 new_data = X
             else:
-                new_valid = falses[:]
-                new_valid[active] = True
+                new_valid = one_hot[active]
                 data = values[in_data]
                 new_data = fn(data, active) if with_thread else fn(data)
             changed = False
@@ -497,7 +497,7 @@ class MTVariableLatencyUnit(Component):
                     self._next = None
                     return
                 # Drained this cycle; may accept a new item right away.
-            t = one_hot_thread(bools(values[ivb:ive]), inp_path)
+            t = one_hot_thread(values[ivb:ive], inp_path)
             if t is not None and as_bool(values[irb + t]):
                 data = values[in_data]
                 remaining = self._latency_for(data) - 1

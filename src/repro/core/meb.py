@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.arbiter import GrantPolicy, RoundRobinArbiter
-from repro.core.mtchannel import MTChannel
+from repro.core.mtchannel import MTChannel, one_hot_vectors
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError, SimulationError
 from repro.kernel.slots import SeqPlan
@@ -46,12 +46,20 @@ def _seq_input_thread(values, uvb, uve, urb, path, up_path):
     Shared by the Full/Reduced compiled tick captures; keeps the exact
     scalar-path semantics and ordering — X anywhere in the valid vector
     raises first (like ``bools``), then the one-valid-per-cycle
-    invariant, then the ready gate.
+    invariant, then the ready gate.  C-speed ``count`` scans prove the
+    raw slice canonical and answer the common idle/one-hot cases; a
+    vector holding anything but ``True``/``False`` (``X``, truthy
+    non-bools) is normalized through ``bools`` first.
     """
     valids = values[uvb:uve]
-    if X in valids:
-        bools(valids)  # raises exactly like the scalar as_bool path
+    idle = valids.count(False)
+    n = uve - uvb
+    if idle == n:
+        return None
     count = valids.count(True)
+    if count + idle != n:
+        valids = bools(valids)  # raises on X like the scalar path
+        count = valids.count(True)
     if count == 0:
         return None
     if count > 1:
@@ -186,29 +194,22 @@ class _MEBBase(Component):
         valid_vec = self._valid_vector
         accept_vec = self._accept_vector
         head = self.head
-        unmasked = self.policy is GrantPolicy.UNMASKED
-        masked_only = self.policy is GrantPolicy.MASKED
+        requests_of = self.policy.requests_fast
         grant_fast = self.arbiter.grant_fast
         falses = [False] * self.threads
+        one_hot = one_hot_vectors(self.threads)
         unknown = X
 
         def step() -> bool:
             valids = valid_vec()
             readies = bools(values[rb:re_])
-            if unmasked:
-                requests = valids
-            else:
-                requests = [v and r for v, r in zip(valids, readies)]
-                if not masked_only and True not in requests:
-                    requests = valids
-            grant = grant_fast(requests)
+            grant = grant_fast(requests_of(valids, readies))
             self._grant = grant
             if grant is None:
                 new_valid = falses
                 new_data = unknown
             else:
-                new_valid = falses[:]
-                new_valid[grant] = True
+                new_valid = one_hot[grant]
                 new_data = head(grant)
             changed = False
             if values[vb:ve] != new_valid:
@@ -386,6 +387,11 @@ class FullMEB(_MEBBase):
     def compile_comb(self, store):
         """Fully inlined step for plain FullMEBs (no hook indirection).
 
+        One count of the empty queues picks the path: with every queue
+        empty the step publishes constants, with one occupant that
+        thread is the grant under every policy, and only two or more
+        occupants build a request vector for the arbiter.
+
         Subclasses (ablations, fault injectors) fall back to the generic
         hook-based step of :class:`_MEBBase`, which respects their
         ``occupancy``/``can_accept``/``head`` overrides.
@@ -399,35 +405,49 @@ class FullMEB(_MEBBase):
             return None
         (values, dirty, vb, ve, rb, re_, ub, ue, data_slot,
          valid_readers, accept_readers, data_readers) = layout
-        unmasked = self.policy is GrantPolicy.UNMASKED
         masked_only = self.policy is GrantPolicy.MASKED
+        requests_of = self.policy.requests_fast
         grant_fast = self.arbiter.grant_fast
-        falses = [False] * self.threads
+        threads = self.threads
+        last = threads - 1
+        falses = [False] * threads
+        trues = [True] * threads
+        one_hot = one_hot_vectors(threads)
+        refusing = one_hot_vectors(threads, False)
+        no_items: list[Any] = []
         unknown = X
         capacity = self.SLOTS_PER_THREAD
         # Compile-time binding of the (possibly re-homed) queue block;
         # rebuild()/reset() recompiles, so the binding stays fresh.
         sstore = self._sstore
         sq = self._sq
-        sqe = sq + self.threads
+        sqe = sq + threads
 
         def step() -> bool:
             queues = sstore[sq:sqe]
             readies = bools(values[rb:re_])
-            if unmasked:
-                requests = [bool(q) for q in queues]
+            idle = queues.count(no_items)
+            if idle == threads:
+                # Every queue empty: no grant, every thread accepts.
+                grant = None
+                accepts = trues
             else:
-                requests = [bool(q) and r for q, r in zip(queues, readies)]
-                if not masked_only and True not in requests:
-                    requests = [bool(q) for q in queues]
-            grant = grant_fast(requests)
+                valids = list(map(bool, queues))
+                if idle == last:
+                    # One occupied thread: the only request under every
+                    # policy, and the only thread that may refuse.
+                    only = valids.index(True)
+                    grant = None if masked_only and not readies[only] else only
+                    accepts = trues if len(queues[only]) < capacity else refusing[only]
+                else:
+                    grant = grant_fast(requests_of(valids, readies))
+                    accepts = [len(q) < capacity for q in queues]
             self._grant = grant
             if grant is None:
                 new_valid = falses
                 new_data = unknown
             else:
-                new_valid = falses[:]
-                new_valid[grant] = True
+                new_valid = one_hot[grant]
                 new_data = queues[grant][0]
             changed = False
             if values[vb:ve] != new_valid:
@@ -435,7 +455,6 @@ class FullMEB(_MEBBase):
                 if valid_readers:
                     dirty.update(valid_readers)
                 changed = True
-            accepts = [len(q) < capacity for q in queues]
             if values[ub:ue] != accepts:
                 values[ub:ue] = accepts
                 if accept_readers:
@@ -488,9 +507,11 @@ class FullMEB(_MEBBase):
             transferred = grant is not None and as_bool(values[drb + grant])
             enq = input_thread(values, uvb, uve, urb, path, up_path)
             if not transferred and enq is None:
-                # Idle cycle: nothing moves, keep the queues as they are.
+                # Idle cycle: nothing moves, keep the queues as they are
+                # (an arbiter with no grant keeps its pointer unnoted).
                 self._next_queues = None
-                arb.note(grant, False)
+                if grant is not None:
+                    arb.note(grant, False)
                 return
             queues = svalues[sq:sqe]
             if transferred:
@@ -696,7 +717,8 @@ class ReducedMEB(_MEBBase):
         ]
 
     def compile_comb(self, store):
-        """Fully inlined step for plain ReducedMEBs (see FullMEB's)."""
+        """Fully inlined step for plain ReducedMEBs (see FullMEB's; the
+        single-occupant path covers a lone HALF thread)."""
         if type(self) is not ReducedMEB:
             return super().compile_comb(store)
         if type(self.arbiter).grant is not RoundRobinArbiter.grant:
@@ -706,10 +728,15 @@ class ReducedMEB(_MEBBase):
             return None
         (values, dirty, vb, ve, rb, re_, ub, ue, data_slot,
          valid_readers, accept_readers, data_readers) = layout
-        unmasked = self.policy is GrantPolicy.UNMASKED
         masked_only = self.policy is GrantPolicy.MASKED
+        requests_of = self.policy.requests_fast
         grant_fast = self.arbiter.grant_fast
-        falses = [False] * self.threads
+        threads = self.threads
+        last = threads - 1
+        falses = [False] * threads
+        trues = [True] * threads
+        one_hot = one_hot_vectors(threads)
+        refusing = one_hot_vectors(threads, False)
         unknown = X
         empty = EMPTY
         half = HALF
@@ -717,29 +744,37 @@ class ReducedMEB(_MEBBase):
         # rebuild()/reset() recompiles, so the binding stays fresh.
         sstore = self._sstore
         mb = self._sq
-        sb = mb + self.threads
-        se = sb + self.threads
+        sb = mb + threads
+        se = sb + threads
         ob = se + 1
 
         def step() -> bool:
             state = sstore[sb:se]
             readies = bools(values[rb:re_])
-            if unmasked:
-                requests = [s != empty for s in state]
+            shared_free = sstore[ob] is None
+            idle = state.count(empty)
+            if idle == threads:
+                # Every thread EMPTY: no grant, every thread accepts.
+                grant = None
+                accepts = trues
+            elif idle == last and half in state:
+                # One HALF thread: the only request under every policy,
+                # and the only thread that may refuse.
+                only = state.index(half)
+                grant = None if masked_only and not readies[only] else only
+                accepts = trues if shared_free else refusing[only]
             else:
-                requests = [
-                    s != empty and r for s, r in zip(state, readies)
+                valids = [s != empty for s in state]
+                grant = grant_fast(requests_of(valids, readies))
+                accepts = [
+                    s == empty or (s == half and shared_free) for s in state
                 ]
-                if not masked_only and True not in requests:
-                    requests = [s != empty for s in state]
-            grant = grant_fast(requests)
             self._grant = grant
             if grant is None:
                 new_valid = falses
                 new_data = unknown
             else:
-                new_valid = falses[:]
-                new_valid[grant] = True
+                new_valid = one_hot[grant]
                 new_data = sstore[mb + grant]
             changed = False
             if values[vb:ve] != new_valid:
@@ -747,10 +782,6 @@ class ReducedMEB(_MEBBase):
                 if valid_readers:
                     dirty.update(valid_readers)
                 changed = True
-            shared_free = sstore[ob] is None
-            accepts = [
-                s == empty or (s == half and shared_free) for s in state
-            ]
             if values[ub:ue] != accepts:
                 values[ub:ue] = accepts
                 if accept_readers:
@@ -799,9 +830,11 @@ class ReducedMEB(_MEBBase):
             transferred = grant is not None and as_bool(values[drb + grant])
             enq = input_thread(values, uvb, uve, urb, path, up_path)
             if not transferred and enq is None:
-                # Idle cycle: no dequeue, no enqueue, state is untouched.
+                # Idle cycle: no dequeue, no enqueue, state is untouched
+                # (an arbiter with no grant keeps its pointer unnoted).
                 self._next = None
-                arb.note(grant, False)
+                if grant is not None:
+                    arb.note(grant, False)
                 return
             main = svalues[mb:sb]
             state = svalues[sb:se]
@@ -858,18 +891,36 @@ class ReducedMEB(_MEBBase):
         def commit() -> bool:
             changed = arb.commit()
             nxt = self._next
-            if nxt is not None:
-                changed = changed or state_changed(
-                    (svalues[mb:sb], svalues[sb:se], svalues[ib],
-                     svalues[ob]),
-                    nxt,
+            if nxt is None:
+                state = svalues[sb:se]
+            else:
+                main, state, shared_item, shared_owner = nxt
+                # Every FSM move shows in the state vector; only a
+                # same-state cycle (a HALF thread's dequeue+refill) needs
+                # the registers compared.
+                changed = (
+                    changed
+                    or svalues[sb:se] != state
+                    or state_changed(
+                        (svalues[mb:sb], svalues[ib], svalues[ob]),
+                        (main, shared_item, shared_owner),
+                    )
                 )
-                svalues[mb:sb] = nxt[0]
-                svalues[sb:se] = nxt[1]
-                svalues[ib] = nxt[2]
-                svalues[ob] = nxt[3]
+                svalues[mb:sb] = main
+                svalues[sb:se] = state
+                svalues[ib] = shared_item
+                svalues[ob] = shared_owner
                 self._next = None
-            check_invariants()
+            # _check_invariants' condition as C-speed scans (no FULL
+            # thread and a free shared slot, or one FULL thread owning
+            # it); the method itself runs only to raise its diagnostics.
+            fulls = state.count(FULL)
+            owner = svalues[ob]
+            if not (
+                (fulls == 0 and owner is None)
+                or (fulls == 1 and state.index(FULL) == owner)
+            ):
+                check_invariants()
             return changed
 
         return SeqPlan(self, capture, commit, watch, state=((mb, ob + 1),))

@@ -24,7 +24,7 @@ from typing import Any
 from repro.core.mtchannel import MTChannel, one_hot_thread
 from repro.kernel.component import Component
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import as_bool, bools
+from repro.kernel.values import as_bool
 
 
 class MTMonitor(Component):
@@ -176,25 +176,18 @@ class MTMonitor(Component):
         tr_thread = self._tr_thread
         tr_data = self._tr_data
         last: list[Any] = [None, None, False]
-        from repro.kernel.values import X as unknown
 
         def capture(cycle) -> None:
-            # Valid slots are only ever written as canonical bools by
-            # the producing steps, so raw count/index scans are exact
-            # once X has been ruled out — the X check comes first,
-            # exactly like the scalar path's bools() normalization.
-            vs = values[vb:ve]
-            if unknown in vs:
-                bools(vs)  # raises exactly like the scalar path
-            count = vs.count(True)
-            if count == 0:
+            # The raw slice goes through the same canonical check as the
+            # scalar path: X raises, truthy non-bools count as valid.
+            active = one_hot_thread(values[vb:ve], ch_path)
+            if active is None:
                 act_thread.append(None)
                 act_data.append(None)
                 act_moved.append(False)
                 last[0] = last[1] = None
                 last[2] = False
-            elif count == 1:
-                active = vs.index(True)
+            else:
                 data = values[data_slot]
                 moved = as_bool(values[rb + active])
                 act_thread.append(active)
@@ -205,8 +198,6 @@ class MTMonitor(Component):
                     tr_thread.append(active)
                     tr_data.append(data)
                 last[0], last[1], last[2] = active, data, moved
-            else:
-                one_hot_thread(bools(vs), ch_path)  # raises ProtocolError
             self._next_cycle = cycle + 1
 
         def repeat(k, start_cycle) -> None:

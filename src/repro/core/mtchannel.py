@@ -18,6 +18,7 @@ compiled engine's settle steps.
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from repro.kernel.component import Component
@@ -26,25 +27,53 @@ from repro.kernel.values import as_bool, bools
 
 
 def one_hot_thread(valids: list, path: str) -> int | None:
-    """Index of the single asserted bit in a normalized valid vector.
+    """Index of the single asserted bit in a valid slice, or None if idle.
 
-    The MT protocol's one-valid-per-cycle invariant, as two C-speed
-    ``count``/``index`` scans; raises :class:`ProtocolError` naming
-    *path* when more than one bit is set.  Shared by
-    :meth:`MTChannel.active_thread` and the slot-compiled steps of the
-    MT operators and function units.
+    Takes the raw packed slice straight from the slot store.  C-speed
+    ``count`` scans prove it canonical (every entry equal to ``True`` or
+    ``False``) and answer the idle and one-hot cases directly; anything
+    else goes through :func:`~repro.kernel.values.bools`, which raises on
+    ``X`` exactly like the scalar ``as_bool`` path and maps truthy
+    non-bools to ``True``.  The MT protocol's one-valid-per-cycle
+    invariant then raises :class:`ProtocolError` naming *path* when more
+    than one bit is set.  Shared by :meth:`MTChannel.active_thread` and
+    the slot-compiled steps and tick plans of the MT components.
     """
+    n = len(valids)
+    idle = valids.count(False)
+    if idle == n:
+        return None
     count = valids.count(True)
+    if count + idle != n:
+        valids = bools(valids)
+        count = valids.count(True)
+    if count == 1:
+        return valids.index(True)
     if count == 0:
         return None
     first = valids.index(True)
-    if count == 1:
-        return first
     second = valids.index(True, first + 1)
     raise ProtocolError(
         f"{path}: expected one-hot vector, bits {first} and "
         f"{second} both set"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def one_hot_vectors(threads: int, bit: bool = True) -> list[list[bool]]:
+    """``vectors[t]``: the S-wide vector whose only *bit*-valued entry is *t*.
+
+    ``bit=True`` gives the one-hot valid vectors, ``bit=False`` the ready
+    vectors refusing one thread.  Cached per argument pair and shared by
+    every component: the slot-compiled steps publish them through slice
+    assignment (a copy) and never mutate them.
+    """
+    vectors = []
+    for t in range(threads):
+        vec = [not bit] * threads
+        vec[t] = bit
+        vectors.append(vec)
+    return vectors
 
 
 class MTChannel(Component):

@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.core.arbiter import RoundRobinArbiter
-from repro.core.mtchannel import MTChannel, one_hot_thread
+from repro.core.mtchannel import MTChannel, one_hot_thread, one_hot_vectors
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError, SimulationError
-from repro.kernel.values import X, as_bool, bools, same_value
+from repro.kernel.values import X, as_bool, same_value
 
 
 def _check_same_threads(channels: Sequence[MTChannel], who: str) -> int:
@@ -237,10 +237,11 @@ class MBranch(Component):
         route = self._route
         n_out = len(self.outputs)
         falses = [False] * self.threads
+        one_hot = one_hot_vectors(self.threads)
         inp_path = self.inp.path
 
         def step() -> bool:
-            active = one_hot_thread(bools(values[ivb:ive]), inp_path)
+            active = one_hot_thread(values[ivb:ive], inp_path)
             if active is None:
                 sel = None
             else:
@@ -254,8 +255,7 @@ class MBranch(Component):
             changed = False
             for k in range(n_out):
                 if k == sel:
-                    new_valid = falses[:]
-                    new_valid[active] = True
+                    new_valid = one_hot[active]
                     new_data = route(data)
                 else:
                     new_valid = falses
@@ -275,13 +275,10 @@ class MBranch(Component):
                     if readers:
                         dirty.update(readers)
                     changed = True
-            if sel is None:
-                new_ready = falses
+            if sel is not None and as_bool(values[out_ready[sel][0] + active]):
+                new_ready = one_hot[active]
             else:
-                new_ready = falses[:]
-                new_ready[active] = as_bool(
-                    values[out_ready[sel][0] + active]
-                )
+                new_ready = falses
             if values[irb:ire] != new_ready:
                 values[irb:ire] = new_ready
                 if in_ready_readers:
@@ -400,14 +397,12 @@ class MMerge(Component):
         n_in = len(self.inputs)
         in_paths = [ch.path for ch in self.inputs]
         falses = [False] * self.threads
+        one_hot = one_hot_vectors(self.threads)
 
         def step() -> bool:
             actives = [
-                one_hot_thread(
-                    bools(values[in_valid[k][0]:in_valid[k][1]]),
-                    in_paths[k],
-                )
-                for k in range(n_in)
+                one_hot_thread(values[vb:ve], in_path)
+                for (vb, ve), in_path in zip(in_valid, in_paths)
             ]
             seen: dict[int, int] = {}
             for k, thread in enumerate(actives):
@@ -425,8 +420,7 @@ class MMerge(Component):
                 new_valid = falses
                 new_data = X
             else:
-                new_valid = falses[:]
-                new_valid[actives[winner]] = True
+                new_valid = one_hot[actives[winner]]
                 new_data = values[in_data[winner]]
             changed = False
             if values[ovb:ove] != new_valid:
@@ -450,8 +444,7 @@ class MMerge(Component):
                     take_thread = thread
             for k in range(n_in):
                 if winner == k and take_thread is not None:
-                    new_ready = falses[:]
-                    new_ready[take_thread] = True
+                    new_ready = one_hot[take_thread]
                 else:
                     new_ready = falses
                 rb, re_ = in_ready[k]

@@ -68,16 +68,21 @@ def bit(value: Any) -> int:
 def bools(seq: list) -> list:
     """Coerce a handshake-value slice to canonical bools, rejecting X.
 
-    The batched counterpart of :func:`as_bool`: one membership test picks
-    the fast path (``X`` falls back to identity comparison, so ``in``
-    never coerces), and ``map(bool)`` normalizes truthy ints so the
-    ``count(True)``/``index(True)`` idioms used by the slot-compiled
-    handshake paths are exact.  Raises exactly where a per-signal
-    ``as_bool`` loop would.
+    The batched counterpart of :func:`as_bool`.  Two C-speed ``count``
+    scans prove the common case — every entry already equals ``True`` or
+    ``False`` — and then *seq itself* is returned, so callers must pass a
+    fresh slice, never a live state list.  Anything else (``X``, truthy
+    non-bools such as ``2``) takes the per-element path: it raises on the
+    first ``X`` exactly where a per-signal ``as_bool`` loop would, and
+    maps the rest through ``bool`` so the ``count(True)``/``index(True)``
+    idioms used by the slot-compiled handshake paths are exact.
+    (``X`` compares by identity, so the scans never coerce it.)
     """
-    if X in seq:
-        return [as_bool(v) for v in seq]  # raises on the X entry
-    return list(map(bool, seq))
+    n = len(seq)
+    trues = seq.count(True)
+    if trues == n or trues + seq.count(False) == n:
+        return seq
+    return [as_bool(v) for v in seq]
 
 
 def same_value(a: Any, b: Any) -> bool:

@@ -28,7 +28,7 @@ import pytest
 
 from repro.apps.md5 import MD5Hasher
 from repro.apps.processor import Processor, programs
-from repro.core import FullMEB, ReducedMEB, StructuralFullMEB
+from repro.core import FullMEB, GrantPolicy, ReducedMEB, StructuralFullMEB
 from repro.elastic import (
     Branch,
     EagerFork,
@@ -48,6 +48,7 @@ from repro.elastic.endpoints import duty_cycle, stall_window
 from repro.kernel import Component, ConvergenceError, Simulator, build
 from repro.kernel.values import same_value
 from repro.netlist import DataflowGraph, elaborate
+from repro.sweep.families import make_mt_chain
 
 from tests.conftest import make_mt_pipeline
 
@@ -339,6 +340,53 @@ class TestApplications:
         assert results["naive"][2][where] == memcpy_prog.expected
         kind, where = dot_prog.check
         assert results["naive"][3][where] == dot_prog.expected
+
+
+# ----------------------------------------------------------------------
+# wide designs (the compiled fast paths branch on the thread count)
+# ----------------------------------------------------------------------
+
+class TestWideDifferential:
+    """Thread counts where the compiled steps take their width-dependent
+    shortcuts: all-empty exits, single-occupant grants, masked grants
+    with no request, and the general vector path behind them."""
+
+    def test_mt_chain_32_threads(self):
+        def factory(engine):
+            sim, _src, _snk = make_mt_chain(
+                threads=32, n_funcs=8, n_items=2, engine=engine,
+                sink_patterns={3: stall_window(4, 30), 17: duty_cycle(1, 3)},
+            )
+            return sim
+
+        assert_identical_traces(factory, 60)
+
+    def test_md5_pipelined_16_threads(self):
+        messages = [bytes([65 + t]) * (t + 1) for t in range(16)]
+        results = {}
+        for variant in TICK_VARIANTS:
+            with engine_context(variant) as engine:
+                h = MD5Hasher(threads=16, round_stages=4, engine=engine)
+            digests = h.hash_batch(messages)
+            results[variant] = (digests, h.circuit.sim.cycle,
+                                h.circuit.round_counter)
+        for variant in TICK_VARIANTS[1:]:
+            assert results["naive"] == results[variant], variant
+
+    @pytest.mark.parametrize("meb_cls", [FullMEB, ReducedMEB])
+    @pytest.mark.parametrize("policy", list(GrantPolicy), ids=lambda p: p.value)
+    def test_mt_pipeline_8_threads_stalling(self, meb_cls, policy):
+        def factory(engine):
+            items = [list(range(10 * t, 10 * t + 6)) for t in range(8)]
+            sim, _src, _snk, _mebs, _mons = make_mt_pipeline(
+                meb_cls, threads=8, items=items, n_stages=3,
+                sink_patterns={0: stall_window(3, 25), 2: duty_cycle(1, 2),
+                               5: duty_cycle(2, 5), 7: stall_window(0, 40)},
+                policy=policy, engine=engine,
+            )
+            return sim
+
+        assert_identical_traces(factory, 70)
 
 
 # ----------------------------------------------------------------------
