@@ -7,8 +7,8 @@ CI.  Two modes:
 * The ``test_perf_*`` functions are classic pytest-benchmark timings of
   the default (compiled) engine.
 * ``test_engine_comparison`` is the **comparison mode**: it runs each
-  workload under all three settle engines (``naive`` oracle, ``event``,
-  ``compiled``), asserts the scheduled engines' cycles/sec advantages
+  workload under both settle engines (``naive`` oracle and
+  ``compiled``), asserts the compiled engine's cycles/sec advantage
   against conservative floors, and writes the measurements to
   ``benchmarks/results/BENCH_kernel.json`` so CI can upload them as an
   artifact and gate regressions against the committed repo-root
@@ -161,7 +161,7 @@ def _run_mt_bursty(engine):
     Each round pushes a burst of items into every thread and then runs a
     fixed window far longer than the drain time, so most cycles are
     fully quiescent.  The compiled engine batches those via settle+tick
-    fusion; the other engines pay per cycle.
+    fusion; the naive engine pays per cycle.
     """
     if SMOKE:
         # Long enough that the idle tail dominates even on noisy shared
@@ -193,25 +193,24 @@ def _run_mt_ring(engine):
     return sim.cycle, elapsed, (sim.cycle, sink.received)
 
 
-#: workload name -> (runner, event-vs-naive floor, compiled-vs-event
-#: floor), both full-mode.  The floors are deliberately far below the
-#: measured ratios (see docs/engines.md) so the comparison stays green
-#: on noisy CI machines while still catching a broken scheduler; the
-#: JSON records the actual numbers.
+#: workload name -> (runner, full-mode compiled-vs-naive floor).  The
+#: floors are deliberately far below the measured ratios (see
+#: docs/engines.md) so the comparison stays green on noisy CI machines
+#: while still catching a broken scheduler; the JSON records the actual
+#: numbers.
 WORKLOADS = {
-    "mt_pipeline": (_run_pipeline, 1.2, 1.2),
-    "mt_chain": (_run_mt_chain, 1.2, 1.5),
-    "mt_ring": (_run_mt_ring, 1.2, 1.5),
-    "mt_bursty": (_run_mt_bursty, 1.5, 2.0),
-    "md5": (_run_md5, 1.5, 1.0),
-    "md5_pipelined": (_run_md5_pipelined, 3.0, 1.3),
-    "processor": (_run_processor, 1.5, 1.5),
+    "mt_pipeline": (_run_pipeline, 1.44),
+    "mt_chain": (_run_mt_chain, 1.8),
+    "mt_ring": (_run_mt_ring, 1.8),
+    "mt_bursty": (_run_mt_bursty, 3.0),
+    "md5": (_run_md5, 1.5),
+    "md5_pipelined": (_run_md5_pipelined, 3.9),
+    "processor": (_run_processor, 2.25),
 }
 
 #: Smoke mode runs tiny configurations on shared CI runners where
 #: constant overheads dominate; only sanity-check the direction.
-SMOKE_EVENT_FLOOR = 1.0
-SMOKE_COMPILED_FLOOR = 0.6
+SMOKE_COMPILED_FLOOR = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +375,7 @@ def measure_profile_overhead(reps):
 
 
 def run_comparison():
-    """Time every workload under all three engines; return the results."""
+    """Time every workload under both engines; return the results."""
     reps = REPS
     results = {
         "mode": "smoke" if SMOKE else "full",
@@ -386,27 +385,24 @@ def run_comparison():
         "machine": platform.machine(),
         "workloads": {},
     }
-    for name, (runner, _efloor, _cfloor) in WORKLOADS.items():
+    for name, (runner, _floor) in WORKLOADS.items():
         measured = _measure(
             {
                 engine: (lambda engine=engine: runner(engine))
-                for engine in ("naive", "event", "compiled")
+                for engine in ("naive", "compiled")
             },
             reps,
         )
         naive_cps, _cycles, naive_fp = measured["naive"]
-        event_cps, _cycles, event_fp = measured["event"]
         compiled_cps, cycles, compiled_fp = measured["compiled"]
-        assert naive_fp == event_fp == compiled_fp, (
+        assert naive_fp == compiled_fp, (
             f"{name}: engines disagree on behaviour"
         )
         results["workloads"][name] = {
             "cycles": cycles,
             "naive_cps": round(naive_cps, 1),
-            "event_cps": round(event_cps, 1),
             "compiled_cps": round(compiled_cps, 1),
-            "event_speedup": round(event_cps / naive_cps, 2),
-            "compiled_speedup": round(compiled_cps / event_cps, 2),
+            "compiled_speedup": round(compiled_cps / naive_cps, 2),
         }
     for name, (params, stimulus, width) in _ensemble_workloads().items():
         row = results["workloads"][name]
@@ -430,10 +426,8 @@ def test_engine_comparison():
     for name, row in results["workloads"].items():
         lines.append(
             f"  {name:14s} naive={row['naive_cps']:>9.0f}  "
-            f"event={row['event_cps']:>9.0f} "
-            f"({row['event_speedup']:.2f}x)  "
             f"compiled={row['compiled_cps']:>9.0f} "
-            f"({row['compiled_speedup']:.2f}x vs event)"
+            f"({row['compiled_speedup']:.2f}x vs naive)"
         )
         if "ensemble_speedup" in row:
             lines.append(
@@ -442,16 +436,9 @@ def test_engine_comparison():
                 f"compiled"
             )
     print("\n".join(lines))
-    for name, (_runner, event_floor, compiled_floor) in WORKLOADS.items():
+    for name, (_runner, floor) in WORKLOADS.items():
         row = results["workloads"][name]
-        required_event = SMOKE_EVENT_FLOOR if SMOKE else event_floor
-        required_compiled = (
-            SMOKE_COMPILED_FLOOR if SMOKE else compiled_floor
-        )
-        assert row["event_speedup"] >= required_event, (
-            f"{name}: event engine speedup {row['event_speedup']:.2f}x "
-            f"below {required_event}x floor"
-        )
+        required_compiled = SMOKE_COMPILED_FLOOR if SMOKE else floor
         assert row["compiled_speedup"] >= required_compiled, (
             f"{name}: compiled engine speedup "
             f"{row['compiled_speedup']:.2f}x below {required_compiled}x "

@@ -4,8 +4,8 @@ CI reruns the engine comparison (``bench_kernel_perf.py``) and then
 calls this script to diff the fresh ``benchmarks/results/BENCH_kernel.json``
 against the committed repo-root ``BENCH_kernel.json`` baseline.  Raw
 cycles-per-second numbers are machine-dependent, so the gate compares
-the machine-portable *speedup ratios* — ``event_speedup`` (event vs
-naive) and ``compiled_speedup`` (compiled vs event) — per workload: a
+the machine-portable *speedup ratios* — ``compiled_speedup`` (compiled
+vs naive) first among them — per workload: a
 workload regresses when a ratio drops more than ``BENCH_TOLERANCE``
 (default 0.25, i.e. >25%) below the baseline.
 
@@ -39,8 +39,7 @@ DEFAULT_CURRENT = (
 #: profiler attach/detach round trip vs plain, nominally 1.0) only on
 #: mt_pipeline; others show "no data".
 RATIOS = (
-    ("event_speedup", "event/naive"),
-    ("compiled_speedup", "compiled/event"),
+    ("compiled_speedup", "compiled/naive"),
     ("ensemble_speedup", "ensemble/serial"),
     ("profile_overhead", "profile-off/plain"),
 )

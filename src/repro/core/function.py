@@ -32,7 +32,7 @@ class MTFunction(Component):
     """Combinational datapath logic shared by all threads.
 
     ``pure=True`` asserts that ``fn`` is a pure function of the payload
-    (and thread index), letting the event settle engine skip evaluations
+    (and thread index), letting the compiled settle engine skip evaluations
     whose inputs did not change.  Leave it False (the default) when the
     function closes over mutable context — register files, the MD5
     message store and round counter — or take responsibility for calling

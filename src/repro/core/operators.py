@@ -181,7 +181,7 @@ class MBranch(Component):
     def combinational(self) -> None:
         # Single assignment per signal per evaluation: compute the routing
         # decision first, then drive every output exactly once, so the
-        # event engine sees only net transitions.
+        # settle engine sees only net transitions.
         active = self.inp.active_thread()
         sel: int | None = None
         if active is not None:

@@ -7,7 +7,7 @@ a small synchronous-hardware simulator with two-phase evaluation
 """
 
 from repro.kernel.component import Component
-from repro.kernel.engine import ENGINES, CompiledEngine, EventEngine, NaiveEngine
+from repro.kernel.engine import ENGINES, CompiledEngine, NaiveEngine
 from repro.kernel.ensemble import (
     POISON,
     EnsembleContext,
@@ -41,7 +41,6 @@ __all__ = [
     "EnsembleDivergence",
     "EnsembleSimulator",
     "EnsembleUnsupported",
-    "EventEngine",
     "FusionBlockedError",
     "NaiveEngine",
     "KernelError",

@@ -24,7 +24,7 @@ the cost model can aggregate per-subtree.
 Dependency declarations
 -----------------------
 
-The event-driven settle engine (see :mod:`repro.kernel.engine`) schedules
+The compiled settle engine (see :mod:`repro.kernel.engine`) schedules
 ``combinational()`` calls from a static signal dependency graph.  The
 *write* side of that graph is already known — every driven signal records
 its driver through :meth:`Component.output` /
@@ -135,7 +135,7 @@ class Component:
         return dict(self._signals)
 
     # ------------------------------------------------------------------
-    # dependency declaration (consumed by the event settle engine)
+    # dependency declaration (consumed by the compiled settle engine)
     # ------------------------------------------------------------------
     def declare_reads(self, *signals: Signal | Iterable[Signal]) -> None:
         """Declare the signals ``combinational()`` may read.
@@ -299,7 +299,7 @@ class Component:
 
         May return whether the commit actually changed state the
         component's ``combinational()`` depends on: ``False`` lets the
-        event settle engine skip the next re-evaluation entirely,
+        compiled settle engine skip the next re-evaluation entirely,
         ``True`` forces one, and ``None`` (the default, and what any
         legacy override returns implicitly) is treated as "unknown —
         assume changed".  Returning ``False`` when state did change is a

@@ -1,61 +1,35 @@
 """Settle engines: strategies for reaching the combinational fixed point.
 
-The simulator delegates its settle phase to one of three interchangeable
+The simulator delegates its settle phase to one of two interchangeable
 engines, selected with ``Simulator(engine=...)``:
 
-``NaiveEngine`` (the seed behaviour, kept as a differential-testing
+``NaiveEngine`` (the seed behaviour, kept as the differential-testing
 oracle)
     Evaluates *every* component's ``combinational()`` in registration
     order, snapshots every signal, and repeats until a whole pass
     produces no net change — O(components x iterations) work per cycle
     plus an O(signals) snapshot per iteration.
 
-``EventEngine``
+``CompiledEngine`` (the default, the production engine)
     Builds a static dependency graph at finalize time from the
     components' declared read sets (:meth:`Component.declare_reads`) and
     the recorded signal drivers, collapses it into strongly connected
     components, and orders the SCC condensation topologically
-    (:mod:`repro.graphs`).  A settle is then:
-
-    * one sweep over the SCCs in dependency order — acyclic regions
-      converge in this single sweep by construction;
-    * cyclic regions (combinational handshake loops such as
-      lazy-fork/join meshes or the elastic rings of the MD5 and
-      processor apps) iterate a **dirty-set worklist** to a local fixed
-      point: a member is re-evaluated only when one of its declared
-      inputs actually changed, which :meth:`Signal.set` reports straight
-      into the engine;
-    * components whose ``combinational`` is not overridden (channels,
-      monitors, memories) are never visited at all.
-
-    Components that never declared a read set are scheduled the naive
-    way — evaluated every pass until the design is globally stable — so
-    ad-hoc user components remain correct, just unoptimized.  A design
-    built purely from declared components settles with **zero**
-    full-design stability passes and no signal snapshots.
-
-``CompiledEngine`` (the default)
-    The event engine wins by scheduling *fewer* evaluations; on dense
-    designs (the paper's elastic rings switch ~74% of components every
-    cycle) the bound becomes the *cost of each Python evaluation*.  The
-    compiled engine attacks that cost instead: at finalize time every
-    signal is assigned a slot in a flat list-backed value store
-    (:mod:`repro.kernel.slots`) and each maximal run of acyclic SCCs is
-    fused into **one generated straight-line function** that invokes the
-    member evaluations back to back with no scheduling bookkeeping in
-    between.  Component evaluations themselves come from
+    (:mod:`repro.graphs`).  Every signal is assigned a slot in a flat
+    list-backed value store (:mod:`repro.kernel.slots`); each maximal
+    run of acyclic SCCs is fused into **one generated straight-line
+    function**, and cyclic regions (combinational handshake loops such
+    as lazy-fork/join meshes or the elastic rings of the MD5 and
+    processor apps) iterate a **dirty-set worklist** to a local fixed
+    point.  Component evaluations come from
     :meth:`Component.compile_comb` where available — slot-indexed,
     batch-vectorized closures (an MEB reads its S downstream readies as
     one slice and writes its S ``valid`` wires with one slice
     compare-and-assign, marking the declared readers of a block only
     when it really changed) — and fall back to the plain
-    ``combinational()`` method otherwise.  Cyclic SCCs keep the event
-    engine's dirty-set worklist, but over plain component ints instead
-    of objects.  Scheduling state is two int-sets (in-settle dirty,
-    cross-cycle stale) fed by ``commit()`` change reports,
-    ``declare_volatile``, ``invalidate()`` and the compiled steps' block
-    change marks — the same scheduling contract as the event engine at a
-    fraction of the per-evaluation and per-notification cost.
+    ``combinational()`` method otherwise.  Components whose
+    ``combinational`` is not overridden (channels, monitors, memories)
+    are never visited at all.
 
 All engines preserve the kernel's contract exactly: same fixed points,
 same :class:`ConvergenceError` (with ``iterations`` equal to the budget
@@ -74,7 +48,7 @@ from repro.kernel.slots import SlotStore
 from repro.kernel.values import same_value
 
 #: Engine names accepted by :class:`repro.kernel.simulator.Simulator`.
-ENGINES = ("compiled", "event", "naive")
+ENGINES = ("compiled", "naive")
 
 
 def _split_components(
@@ -169,230 +143,24 @@ class NaiveEngine:
         raise ConvergenceError(cycle, self._max_iterations, changed)
 
 
-class EventEngine:
-    """Dependency-ordered, change-driven settling."""
-
-    name = "event"
-
-    def __init__(
-        self,
-        components: Sequence[Component],
-        signals: Sequence[Signal],
-        max_iterations: int,
-        profiler=None,
-    ):
-        self._max_iterations = int(max_iterations)
-        #: True only while a settle is in flight; Signal.set checks it.
-        self.recording = False
-
-        active, opaque = _split_components(components)
-        self._active = active
-        self._opaque = opaque
-        if profiler is not None:
-            self._evals = [
-                profiler.wrap_comb(comp.combinational, comp.path)
-                for comp in active
-            ]
-            self._opaque_evals = [
-                profiler.wrap_comb(comp.combinational, comp.path)
-                for comp in opaque
-            ]
-        else:
-            self._evals = [comp.combinational for comp in active]
-            self._opaque_evals = [comp.combinational for comp in opaque]
-        n = len(active)
-
-        # A component is re-evaluated on every settle (not only when an
-        # input changed) when it says so (declare_volatile) or when its
-        # state updates are unobservable: it captures state but its
-        # commit cannot report changes.
-        self._volatile = [
-            comp.volatile
-            or (
-                type(comp).capture is not Component.capture
-                and type(comp).commit is Component.commit
-            )
-            for comp in active
-        ]
-
-        # signal -> indices of declared readers; component -> successors.
-        index_of = {id(comp): i for i, comp in enumerate(active)}
-        readers, succ = _dependency_graph(active, signals, index_of)
-
-        # Groups in forward topological order; a group needs local
-        # iteration when it is a real SCC or a self-dependent singleton.
-        groups = condensation_order(succ)
-        self._groups: list[tuple[list[int], bool]] = [
-            (grp, len(grp) > 1 or grp[0] in succ[grp[0]]) for grp in groups
-        ]
-
-        # Hook every readable signal up to this engine so Signal.set can
-        # report real value changes during a settle.
-        self._dirty = [False] * n
-        self._ndirty = 0
-        # Cross-cycle staleness: a component is stale when its commit
-        # reported (or could not rule out) a state change, when an input
-        # signal was written outside a settle (a test poking a wire), or
-        # when it was explicitly invalidated.  Everything starts stale.
-        self._stale = [True] * n
-        self._index_by_id = index_of
-        for i, comp in enumerate(active):
-            comp._engine_hook = (self, i)
-        # id(sig) -> (sig, value at first change of the current pass /
-        # sub-iteration).  Net change is judged against these baselines
-        # so a transient clear-then-set within one evaluation (a common
-        # idiom in demux-style logic) does not count as instability —
-        # exactly the naive engine's snapshot semantics, but touching
-        # only the signals that actually moved.
-        self._pass_base: dict[int, tuple[Signal, Any]] = {}
-        self._sub_base: dict[int, tuple[Signal, Any]] | None = None
-        for sig in signals:
-            sig._engine = self
-            sig._readers = tuple(readers.get(id(sig), ()))
-
-    # ------------------------------------------------------------------
-    # change notification (called by Signal.set while recording)
-    # ------------------------------------------------------------------
-    def note_change(self, sig: Signal, old: Any) -> None:
-        if not self.recording:
-            # Out-of-settle write (a test or driver poking a wire):
-            # remember the affected readers for the next settle.
-            stale = self._stale
-            for reader in sig._readers:
-                stale[reader] = True
-            return
-        key = id(sig)
-        if key not in self._pass_base:
-            self._pass_base[key] = (sig, old)
-        sub = self._sub_base
-        if sub is not None and key not in sub:
-            sub[key] = (sig, old)
-        dirty = self._dirty
-        for reader in sig._readers:
-            if not dirty[reader]:
-                dirty[reader] = True
-                self._ndirty += 1
-
-    # ------------------------------------------------------------------
-    # cross-cycle staleness
-    # ------------------------------------------------------------------
-    def mark_stale(self, index: int) -> None:
-        """Schedule one component for re-evaluation at the next settle."""
-        self._stale[index] = True
-
-    def invalidate_all(self) -> None:
-        """Schedule every component for re-evaluation (e.g. after reset)."""
-        self._stale = [True] * len(self._stale)
-
-    def note_state_change(self, comp: Component) -> None:
-        """Called per cycle for each component whose commit changed state."""
-        index = self._index_by_id.get(id(comp))
-        if index is not None:
-            self._stale[index] = True
-
-    @property
-    def tracked_component_ids(self) -> frozenset[int]:
-        """ids of the components whose commit reports this engine uses."""
-        return frozenset(self._index_by_id)
-
-    @staticmethod
-    def _net_changed(base: dict[int, tuple[Signal, Any]]) -> list[str]:
-        """Names of signals whose value differs from their baseline."""
-        return [
-            sig.name
-            for sig, old in base.values()
-            if not same_value(sig.value, old)
-        ]
-
-    # ------------------------------------------------------------------
-    # settle
-    # ------------------------------------------------------------------
-    def settle(self, cycle: int) -> int:
-        dirty = self._dirty
-        stale = self._stale
-        volatile = self._volatile
-        evals = self._evals
-        budget = self._max_iterations
-        # Seed the dirty set: components whose state changed at the last
-        # commit (or that cannot prove otherwise), volatile components,
-        # externally poked readers, and anything left over from an
-        # aborted settle.  Everything else still holds correct settled
-        # outputs from the previous cycle and is left alone.
-        ndirty = 0
-        for i in range(len(dirty)):
-            if dirty[i] or stale[i] or volatile[i]:
-                dirty[i] = True
-                ndirty += 1
-            stale[i] = False
-        self._ndirty = ndirty
-        self._pass_base = {}
-        self._sub_base = None
-        self.recording = True
-        worst_local = 1
-        passes = 0
-        try:
-            while True:
-                passes += 1
-                if passes > budget:
-                    raise ConvergenceError(
-                        cycle, budget, self._net_changed(self._pass_base)
-                    )
-                self._pass_base = {}
-                for group, cyclic in self._groups:
-                    if self._ndirty == 0:
-                        break
-                    if not cyclic:
-                        i = group[0]
-                        if dirty[i]:
-                            dirty[i] = False
-                            self._ndirty -= 1
-                            evals[i]()
-                        continue
-                    # Cyclic region: Gauss-Seidel sweeps in fixed order.
-                    # Dirtiness is checked at visit time, so a member
-                    # dirtied mid-sweep by an earlier member is evaluated
-                    # in the *same* sweep — values propagate coherently
-                    # along the cycle exactly as in a naive full pass
-                    # (deferring them can chase a stale snapshot around
-                    # the loop forever, e.g. an arbiter following the
-                    # ready echo of its own previous grant).
-                    local = 0
-                    last_sub: dict[int, tuple[Signal, Any]] = {}
-                    while any(dirty[i] for i in group):
-                        local += 1
-                        if local > budget:
-                            raise ConvergenceError(
-                                cycle, budget, self._net_changed(last_sub)
-                            )
-                        self._sub_base = last_sub = {}
-                        for i in group:
-                            if dirty[i]:
-                                dirty[i] = False
-                                self._ndirty -= 1
-                                evals[i]()
-                    self._sub_base = None
-                    if local > worst_local:
-                        worst_local = local
-                if not self._opaque:
-                    if self._ndirty == 0:
-                        return max(passes, worst_local)
-                    continue  # stray feedback outside the graph: resweep
-                for evaluate in self._opaque_evals:
-                    evaluate()
-                if self._ndirty == 0 and not self._net_changed(self._pass_base):
-                    return max(passes, worst_local)
-        finally:
-            self.recording = False
-
-
 class CompiledEngine:
     """Slot-compiled settling: fused straight-line regions + int worklists.
 
-    Built on the same declared dependency graph and the same scheduling
-    contract as :class:`EventEngine` (cross-cycle staleness from commit
-    reports / ``declare_volatile`` / ``invalidate``, change-driven
-    re-evaluation during the settle), but with every mechanism lowered
-    onto the flat slot store:
+    Scheduling contract.  A settle evaluates only what may have moved.
+    It is seeded from the cross-cycle *stale* set: a component lands
+    there when its ``commit()`` reported (or, capturing state without
+    overriding ``commit``, could not rule out) a state change, when one
+    of its declared inputs was written outside a settle (a test or
+    driver poking a wire), or when :meth:`Simulator.invalidate` asked
+    for it.  Components that :meth:`Component.declare_volatile` are
+    re-evaluated every settle.  During the settle a member is
+    re-evaluated only when one of its declared inputs actually changed.
+    Components with an overridden ``combinational`` but no declared read
+    set are *opaque*: they run after every sweep until the whole design
+    shows no net change, so ad-hoc user components stay correct, just
+    unoptimized.
+
+    Every mechanism is lowered onto the flat slot store:
 
     * each active component evaluates through its
       :meth:`Component.compile_comb` closure when it provides one and
@@ -434,11 +202,8 @@ class CompiledEngine:
         #: reader map attached to the store) and with signal precision
         #: by note_change for everything still going through Signal.set.
         self._dirty: set[int] = set()
-        #: Cross-cycle staleness, exactly the event engine's model: a
-        #: component is seeded into the next settle when its commit
-        #: reported (or could not rule out) a state change, when an
-        #: input signal was written outside a settle, or when it was
-        #: explicitly invalidated.  Everything starts stale.
+        #: Cross-cycle staleness (see the class docstring).  Everything
+        #: starts stale.
         self._stale: set[int] = set(range(len(active)))
         self._volatile: tuple[int, ...] = tuple(
             i
@@ -449,6 +214,10 @@ class CompiledEngine:
                 and type(comp).commit is Component.commit
             )
         )
+        # id(sig) -> (sig, value at its first change this pass).  Net
+        # change is judged against these baselines, so a transient
+        # clear-then-set within one evaluation does not count as
+        # instability (the naive engine's snapshot semantics).
         self._pass_base: dict[int, tuple[Signal, Any]] = {}
         for sig in signals:
             sig._engine = self
@@ -522,8 +291,8 @@ class CompiledEngine:
             flush()
             # Keep the condensation's member order: these handshake
             # loops contain probing arbiters whose convergence is
-            # order-sensitive, and this order is the one the event
-            # engine's differential suite has proven out.
+            # order-sensitive, and this order is the one the
+            # differential suite has proven out.
             members = list(grp)
             member_set = frozenset(members)
             region_out = sorted(
@@ -562,8 +331,7 @@ class CompiledEngine:
         itself.  A dirty mark placed by an earlier member in the same
         run is consumed by the in-order evaluation; a write *backwards*
         (only possible through an undeclared driver relationship) leaves
-        its mark standing and triggers a whole-design resweep, exactly
-        like the event engine.
+        its mark standing and triggers a whole-design resweep.
         """
         names = [f"_s{k}" for k in range(len(steps))]
         lines = [f"def _make(_D, {', '.join(names)}):", "    def _run():"]
@@ -594,7 +362,7 @@ class CompiledEngine:
             self._dirty.update(readers)
 
     # ------------------------------------------------------------------
-    # cross-cycle staleness (same contract as the event engine)
+    # cross-cycle staleness
     # ------------------------------------------------------------------
     def mark_stale(self, index: int) -> None:
         """Schedule one component for re-evaluation at the next settle."""
@@ -641,7 +409,14 @@ class CompiledEngine:
             self._stale or self._dirty or self._volatile or self._opaque
         )
 
-    _net_changed = staticmethod(EventEngine._net_changed)
+    @staticmethod
+    def _net_changed(base: dict[int, tuple[Signal, Any]]) -> list[str]:
+        """Names of signals whose value differs from their baseline."""
+        return [
+            sig.name
+            for sig, old in base.values()
+            if not same_value(sig.value, old)
+        ]
 
     # ------------------------------------------------------------------
     # settle
@@ -742,7 +517,7 @@ def make_engine(
     max_iterations: int,
     store: SlotStore,
     profiler=None,
-) -> NaiveEngine | EventEngine | CompiledEngine:
+) -> NaiveEngine | CompiledEngine:
     """Instantiate the settle engine called *name* (see :data:`ENGINES`).
 
     *profiler*, when given (a :class:`repro.obs.profile.KernelProfiler`),
@@ -754,10 +529,6 @@ def make_engine(
     if name == "compiled":
         return CompiledEngine(
             components, signals, max_iterations, store, profiler=profiler
-        )
-    if name == "event":
-        return EventEngine(
-            components, signals, max_iterations, profiler=profiler
         )
     if name == "naive":
         return NaiveEngine(

@@ -6,7 +6,7 @@ declared bit-width used only by the cost model and the trace renderer.
 
 A signal is a mutable cell with change tracking.  Under the simulator's
 naive engine the change tracking is purely passive (the settle loop
-snapshots and compares); under the event engine every signal additionally
+snapshots and compares); under the compiled engine every signal additionally
 carries the indices of the components that declared a combinational read
 of it (``_readers``) plus a back-reference to the live engine, so a
 :meth:`Signal.set` that actually changes the value can mark exactly the
@@ -62,7 +62,7 @@ class Signal:
         self._slot = 0
         self._driver: "Component | None" = None
         self._touched = False
-        # Filled in by the event engine at finalize time: the engine
+        # Filled in by the compiled engine at finalize time: the engine
         # itself and the indices of the declared reader components.
         self._engine: Any = None
         self._readers: tuple[int, ...] = ()

@@ -45,10 +45,8 @@ engine (:mod:`repro.kernel.engine`), chosen per simulator:
   vectorized slot-level evaluations via
   :meth:`~repro.kernel.component.Component.compile_comb`; everything
   else falls back to its plain ``combinational()`` transparently.
-* ``engine="event"`` — the same dependency graph, scheduled change-first:
-  components whose inputs did not change are never re-evaluated.  Wins
-  when large parts of the design are idle; loses to ``compiled`` on
-  dense designs where the per-evaluation Python cost dominates.
+  Scheduling is change-first: components whose inputs did not change
+  are never re-evaluated.
 * ``engine="naive"`` — the original brute-force loop: every component is
   re-evaluated until a whole pass changes nothing.  Kept as the oracle
   for differential testing (``tests/test_engine_differential.py`` drives
@@ -172,9 +170,8 @@ class Simulator:
         of 64 leaves generous headroom while still catching true
         combinational loops quickly.
     engine:
-        Settle strategy: ``"compiled"`` (slot-compiled, the default),
-        ``"event"`` (dependency-driven change scheduling) or ``"naive"``
-        (brute-force whole-design iteration).  ``None`` reads the
+        Settle strategy: ``"compiled"`` (slot-compiled, the default)
+        or ``"naive"`` (brute-force whole-design iteration).  ``None`` reads the
         ``REPRO_SIM_ENGINE`` environment variable, falling back to
         ``"compiled"``.
     compile_seq:
@@ -182,7 +179,7 @@ class Simulator:
         (:class:`~repro.kernel.slots.SeqStore` plans with delta-gated
         capture and settle+tick fusion).  ``None`` reads the
         ``REPRO_SIM_SEQ`` environment variable (default on); has no
-        effect under the event/naive engines, whose tick is always the
+        effect under the naive engine, whose tick is always the
         legacy per-component dispatch.
     profile:
         ``True`` attaches a fresh
@@ -567,7 +564,7 @@ class Simulator:
 
         Returns the number of iterations used (an engine-specific
         effort measure: whole-design passes for the naive engine, the
-        deepest local iteration count for the event engine).  Exposed
+        deepest local iteration count for the compiled engine).  Exposed
         publicly so tests can inspect settled values mid-cycle without
         advancing the clock.
         """

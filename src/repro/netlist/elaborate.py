@@ -107,7 +107,7 @@ def elaborate(
 ) -> Elaboration:
     """Validate and lower *graph*; returns a reset, runnable circuit.
 
-    ``engine`` selects the simulator's settle engine (``"event"`` /
+    ``engine`` selects the simulator's settle engine (``"compiled"`` /
     ``"naive"``); None uses the process default.
     """
     if meb not in MEB_KINDS:

@@ -81,7 +81,7 @@ def _cycle_issues(graph: DataflowGraph) -> list[ValidationIssue]:
     """Every directed cycle must pass through a BUFFER (or VLU) node.
 
     Strips the storage nodes, then asks the shared SCC machinery
-    (:func:`repro.graphs.cyclic_nodes` — the same algorithms the event
+    (:func:`repro.graphs.cyclic_nodes` — the same algorithms the compiled
     settle engine schedules with) whether any cycle survives.
     """
     # Remove storage nodes, then any remaining cycle is bufferless.

@@ -147,16 +147,6 @@ class KernelProfiler:
             def seed_size() -> int:
                 return len(stale | dirty | volatile)
 
-        elif name == "event":
-            def seed_size() -> int:
-                return sum(
-                    1
-                    for d, s, v in zip(
-                        engine._dirty, engine._stale, engine._volatile
-                    )
-                    if d or s or v
-                )
-
         else:  # naive: every component, every settle
             n = len(engine._components)
 

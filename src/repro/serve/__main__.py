@@ -30,6 +30,7 @@ import signal
 import sys
 import threading
 
+from repro.kernel.engine import ENGINES
 from repro.serve.http import make_server
 from repro.sweep.jobs import JobService
 
@@ -46,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="persistent worker processes; 0 = inline "
                              "(default: 2)")
-    parser.add_argument("--engine", default=None,
+    parser.add_argument("--engine", default=None, choices=ENGINES,
                         help="settle engine override for every job")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="persist the dedup result store as JSONL "

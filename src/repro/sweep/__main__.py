@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 
+from repro.kernel.engine import ENGINES
 from repro.sweep.jobs import JobService
 from repro.sweep.registry import get_family, registry_payload
 from repro.sweep.report import write_report
@@ -162,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("spec", help="path to a .toml or .json campaign spec")
     p_run.add_argument("--workers", type=int, default=None,
                        help="process count (default: spec's campaign.workers)")
-    p_run.add_argument("--engine", default=None,
-                       help="settle engine override (naive/event/compiled)")
+    p_run.add_argument("--engine", default=None, choices=ENGINES,
+                       help="settle engine override")
     p_run.add_argument("--out", default="sweep-results",
                        help="output directory (default: sweep-results)")
     p_run.add_argument("--name", default="campaign",

@@ -121,7 +121,7 @@ def make_mt_bursty(
     runs a fixed-length window (``sim.run(cycles=gap)``), and repeats.
     Once a burst drains, the design is fully quiescent for the rest of
     the window — the workload shape the compiled engine's settle+tick
-    fusion batches, while the event engine still pays per-cycle
+    fusion batches, while an unfused run still pays per-cycle
     scheduling and the full tick dispatch.
     """
     items = [[] for _ in range(threads)]

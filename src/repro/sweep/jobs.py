@@ -84,6 +84,7 @@ from repro.sweep.report import aggregate
 from repro.sweep.runner import _scenario_row, execute_unit, plan_units
 from repro.sweep.spec import (
     CampaignSpec,
+    _engine_value,
     _retries_value,
     _timeout_value,
     from_dict,
@@ -479,7 +480,7 @@ class JobService:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.pool_size = workers if workers > 1 else 0
-        self.engine = engine
+        self.engine = _engine_value(engine, path="service")
         # Lockstep-batching policy for every job this service runs:
         # "auto" (default cap), "off", or an integer lane cap.  Reports
         # are bit-identical either way; see repro.sweep.runner.
@@ -729,8 +730,9 @@ class JobService:
         raise :class:`repro.sweep.spec.SpecError` here, synchronously —
         a queued job is always runnable — and over-quota submissions
         raise :class:`QuotaError`.  *engine* overrides the spec's
-        engine; *workers* is recorded (the service's pool is fixed at
-        construction, so it caps the actual parallelism); *profile*
+        engine (an unknown name raises ``SpecError``); *workers* is
+        recorded (the service's pool is fixed at construction, so it
+        caps the actual parallelism); *profile*
         overrides the service's default profiling policy for this job.
         *timeout_s* is a job-wide deadline override (wins over every
         spec-level value); *retries* overrides the retry budget
@@ -740,6 +742,7 @@ class JobService:
             raise RuntimeError("JobService is closed")
         timeout_s = _timeout_value(timeout_s, path="submit")
         retries = _retries_value(retries, path="submit")
+        engine = _engine_value(engine, path="submit")
         with self._lock:
             draining = self._draining
             queued = sum(

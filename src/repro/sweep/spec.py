@@ -28,6 +28,8 @@ import json
 import pathlib
 from typing import Any, Mapping
 
+from repro.kernel.engine import ENGINES
+
 try:  # Python 3.11+
     import tomllib
 except ModuleNotFoundError:  # pragma: no cover - py3.10 fallback path
@@ -91,6 +93,19 @@ def _retries_value(value: Any, *, path: str = "campaign") -> int | None:
     if value < 0:
         raise SpecError(
             "must be a non-negative integer", path=path, field="retries"
+        )
+    return value
+
+
+def _engine_value(value: Any, *, path: str = "campaign") -> str | None:
+    """Validate a settle-engine name: one of :data:`ENGINES` or None."""
+    if value is None:
+        return None
+    if value not in ENGINES:
+        raise SpecError(
+            f"unknown settle engine {value!r}; expected one of {ENGINES}",
+            path=path,
+            field="engine",
         )
     return value
 
@@ -259,9 +274,7 @@ def from_dict(data: Mapping[str, Any]) -> CampaignSpec:
         )
     name = str(campaign.get("name") or "campaign")
     seed = int(campaign.get("seed", 0))
-    engine = campaign.get("engine")
-    if engine is not None:
-        engine = str(engine)
+    engine = _engine_value(campaign.get("engine"))
     workers = int(campaign.get("workers", 1))
     if workers < 0:
         raise SpecError("must be >= 0", field="workers")

@@ -1,11 +1,11 @@
-"""Differential validation: event and compiled engines vs. naive oracle.
+"""Differential validation: the compiled engine vs. the naive oracle.
 
 The naive whole-design fixed-point loop is the semantics oracle; the
-event engine *and* the slot-compiled engine must be indistinguishable
-from it at cycle granularity.  Every network family in the repo is
-built once per engine and driven for the same number of cycles while
-*every signal in the design* is sampled after each settle.  The traces
-must match value-for-value, cycle-for-cycle, three ways.
+slot-compiled engine (with and without its compiled tick phase) must be
+indistinguishable from it at cycle granularity.  Every network family in
+the repo is built once per engine and driven for the same number of
+cycles while *every signal in the design* is sampled after each settle.
+The traces must match value-for-value, cycle-for-cycle.
 
 Also covered here: ConvergenceError parity on deliberate combinational
 loops (both for undeclared components, which take the engines' naive
@@ -52,7 +52,7 @@ from repro.sweep.families import make_mt_chain
 
 from tests.conftest import make_mt_pipeline
 
-ENGINES = ("naive", "event", "compiled")
+ENGINES = ("naive", "compiled")
 
 #: The trace/application differentials additionally pin the compiled
 #: engine with its tick-phase compilation force-disabled, so the legacy
@@ -294,7 +294,7 @@ class TestApplications:
     )
     def test_processor_each_program_identical(self, program):
         """Per-program RunStats and architectural state pinned across
-        naive/event/compiled/compiled-noseq (the slot-ported stages must
+        naive/compiled/compiled-noseq (the slot-ported stages must
         be cycle-exact for every instruction class, not just the mix)."""
         results = {}
         for variant in TICK_VARIANTS:
@@ -432,7 +432,8 @@ class TestConvergenceParity:
 
     def test_cross_component_declared_loop_raises(self):
         # A ring of an odd number of inverters has no stable point; the
-        # whole ring forms one SCC whose local worklist must give up.
+        # naive whole-design loop must give up (the compiled twin below
+        # covers the SCC worklist).
         class Inverter(Component):
             def __init__(self, name):
                 super().__init__(name)
@@ -449,7 +450,7 @@ class TestConvergenceParity:
         ring = [Inverter(f"inv{i}") for i in range(3)]
         for i, inv in enumerate(ring):
             inv.late_bind(ring[(i + 1) % 3].out)
-        sim = build(*ring, max_settle_iterations=9, engine="event")
+        sim = build(*ring, max_settle_iterations=9, engine="naive")
         with pytest.raises(ConvergenceError):
             sim.settle()
 
@@ -601,8 +602,9 @@ class TestSlotStoreEdgeCases:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(engine="quantum")
+        for name in ("quantum", "event"):
+            with pytest.raises(ValueError, match="unknown settle engine"):
+                Simulator(engine=name)
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
@@ -613,8 +615,9 @@ class TestEngineSelection:
         assert Simulator().engine_name == "compiled"
 
     def test_explicit_engine_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+        assert Simulator(engine="naive").engine_name == "naive"
         monkeypatch.setenv("REPRO_SIM_ENGINE", "naive")
-        assert Simulator(engine="event").engine_name == "event"
         assert Simulator(engine="compiled").engine_name == "compiled"
 
 

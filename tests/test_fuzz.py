@@ -172,9 +172,9 @@ class TestFuzzFamily:
         assert metrics["corpus_size"] == 2 + metrics["mutants_kept"]
 
     def test_engine_invariant_digests(self):
-        event = self._run_once(engine="event")
+        naive = self._run_once(engine="naive")
         compiled = self._run_once(engine="compiled")
-        assert event == compiled  # includes mutant + coverage digests
+        assert naive == compiled  # includes mutant + coverage digests
 
     def test_seed_changes_the_trajectory(self):
         a = self._run_once(seed=31)
@@ -252,12 +252,12 @@ class TestFuzzCampaign:
         spec = from_dict(FUZZ_CAMPAIGN)
         serial = run_campaign(spec, workers=1)
         sharded = run_campaign(spec, workers=4)
-        event = run_campaign(spec, workers=1, engine="event")
+        naive = run_campaign(spec, workers=1, engine="naive")
         assert canonical_report(serial) == canonical_report(sharded)
         metrics = lambda r: {  # noqa: E731
             row["key"]: row["metrics"] for row in r["scenarios"]
         }
-        assert metrics(serial) == metrics(event)
+        assert metrics(serial) == metrics(naive)
 
     def test_summary_folds_coverage_and_oracles(self):
         report = run_campaign(from_dict(FUZZ_CAMPAIGN), workers=1)

@@ -173,6 +173,17 @@ class TestJobLifecycle:
         assert err["field"] == "family"
         assert "family" in err["reason"]
 
+    @pytest.mark.parametrize("name", ["event", "quantum"])
+    def test_unknown_engine_rejected(self, name):
+        # "event" names the deleted event engine: old scripts get one
+        # clear error instead of a job whose rows all fail.
+        with pytest.raises(ValueError, match="unknown settle engine"):
+            JobService(workers=0, engine=name)
+        with JobService(workers=0) as service:
+            with pytest.raises(ValueError, match="unknown settle engine"):
+                service.submit(SMALL_CAMPAIGN, engine=name)
+            assert service.list_jobs() == []
+
     def test_unknown_job_id(self):
         with JobService(workers=0) as service:
             with pytest.raises(KeyError):
@@ -275,7 +286,7 @@ class TestDesignCacheAffinity:
         assert {r["design_cache"] for r in second["scenarios"]} == {"hit"}
         assert _metrics_by_key(first) == _metrics_by_key(second)
 
-    @pytest.mark.parametrize("engine", ["naive", "event", "compiled"])
+    @pytest.mark.parametrize("engine", ["naive", "compiled"])
     def test_md5_design_rewinds_instead_of_rebuilding(self, engine):
         def md5_job(seed):
             return {

@@ -31,7 +31,7 @@ from repro.sweep.report import canonical_report
 from repro.sweep.runner import run_campaign
 from repro.sweep.spec import from_dict
 
-ENGINES = ("naive", "event", "compiled")
+ENGINES = ("naive", "compiled")
 
 
 # ----------------------------------------------------------------------

@@ -114,12 +114,12 @@ class TestFusionWithIdleStretches:
             cpu.run_cycles(gap)
         return cpu
 
-    def test_fused_phases_match_event_engine(self):
+    def test_fused_phases_match_naive_engine(self):
         results = {}
-        for engine in ("event", "compiled"):
+        for engine in ("naive", "compiled"):
             cpu = self.run_phases(engine)
             results[engine] = arch_state(cpu)
-        assert results["event"] == results["compiled"]
+        assert results["naive"] == results["compiled"]
 
     def test_fusion_actually_batches_idle_windows(self):
         cpu = make_cpu()
@@ -153,7 +153,7 @@ class TestFusionWithIdleStretches:
 class TestSnapshotMidProgram:
     """Re-homed stage state must round-trip through snapshot/fork."""
 
-    @pytest.mark.parametrize("engine", ["compiled", "event"])
+    @pytest.mark.parametrize("engine", ["compiled", "naive"])
     def test_fork_mid_program_matches_uninterrupted(self, engine):
         cpu = make_cpu(engine=engine)
         cpu.run_cycles(40)  # tokens parked in every stage

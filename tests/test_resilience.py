@@ -302,7 +302,7 @@ class TestTimeoutPooled:
 
 class TestRetryCanonicalEquality:
     @pytest.mark.parametrize("workers", [0, 2])
-    @pytest.mark.parametrize("engine", [None, "event", "compiled"])
+    @pytest.mark.parametrize("engine", [None, "naive", "compiled"])
     def test_retried_rows_bit_identical(
         self, tmp_path, temp_family, unblock_hung, workers, engine
     ):

@@ -103,11 +103,10 @@ class TestPlanWiring:
 
     def test_other_engines_have_no_seq(self):
         items = [list(range(3)) for _ in range(2)]
-        for engine in ("naive", "event"):
-            sim, *_ = make_mt_pipeline(
-                FullMEB, threads=2, items=items, engine=engine,
-            )
-            assert sim.seq is None
+        sim, *_ = make_mt_pipeline(
+            FullMEB, threads=2, items=items, engine="naive",
+        )
+        assert sim.seq is None
 
 
 class TestResetAndRebuild:
@@ -246,9 +245,9 @@ class TestFusion:
                 src.push(t, (b, t))
             sim.run(cycles=gap)
 
-    def test_fused_run_matches_event_engine(self):
+    def test_fused_run_matches_naive_engine(self):
         results = {}
-        for engine in ("event", "compiled"):
+        for engine in ("naive", "compiled"):
             sim, src, snk, mons = self.make_bursty(engine)
             self.run_bursts(sim, src)
             results[engine] = (
@@ -258,7 +257,7 @@ class TestFusion:
                 [m.transfers for m in mons],
                 [m.cycles_observed for m in mons],
             )
-        assert results["event"] == results["compiled"]
+        assert results["naive"] == results["compiled"]
 
     def test_fusion_actually_batches(self):
         sim, src, snk, _mons = self.make_bursty("compiled")

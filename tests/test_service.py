@@ -144,6 +144,16 @@ class TestRoutes:
         assert error["field"] == "family"
         assert "family" in error["reason"]
 
+    def test_unknown_engine_is_400(self, service_client):
+        client, service = service_client
+        spec = {**CAMPAIGN, "campaign": {**CAMPAIGN["campaign"], "engine": "event"}}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        error = excinfo.value.payload["error"]
+        assert (error["path"], error["field"]) == ("campaign", "engine")
+        assert service.list_jobs() == []
+
 
 class TestParity:
     def test_cli_and_http_reports_identical(self, service_client):
@@ -240,6 +250,14 @@ class TestServeCLI:
         assert "repro.serve listening on http://" in out
         assert "(inline, store=memory)" in out
         assert "repro.serve stopped" in out
+
+    def test_unknown_engine_rejected(self, capsys):
+        import repro.serve.__main__ as serve_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main.main(["--port", "0", "--engine", "event"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'event'" in capsys.readouterr().err
 
 
 class TestObservabilityRoutes:

@@ -27,7 +27,7 @@ from repro.kernel.errors import SimulationError
 
 from tests.conftest import make_mt_pipeline
 
-ENGINES = ("naive", "event", "compiled")
+ENGINES = ("naive", "compiled")
 
 
 def _fingerprint(sim, sink, monitor):

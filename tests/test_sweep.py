@@ -152,6 +152,20 @@ class TestSpec:
             )
         assert excinfo.value.field == "grid.threads"
 
+    def test_unknown_engine_rejected(self, tmp_path):
+        # Rejected once at parse time, not as one error row per scenario.
+        with pytest.raises(SpecError) as excinfo:
+            from_dict({**SMALL_CAMPAIGN, "campaign": {"engine": "event"}})
+        assert (excinfo.value.path, excinfo.value.field) == ("campaign", "engine")
+        path = tmp_path / "old.toml"
+        path.write_text(
+            '[campaign]\nengine = "event"\n\n'
+            '[[scenarios]]\nfamily = "mt_chain"\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(SpecError, match="campaign.engine"):
+            load_spec(path)
+
     def test_load_json_spec(self, tmp_path):
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(SMALL_CAMPAIGN), encoding="utf-8")
@@ -230,9 +244,9 @@ class TestRunner:
 
     def test_engines_agree(self):
         spec = from_dict(SMALL_CAMPAIGN)
-        event = run_campaign(spec, workers=1, engine="event")
+        naive = run_campaign(spec, workers=1, engine="naive")
         compiled = run_campaign(spec, workers=2, engine="compiled")
-        assert _metrics_by_key(event) == _metrics_by_key(compiled)
+        assert _metrics_by_key(naive) == _metrics_by_key(compiled)
 
     def test_scenario_failure_is_contained(self):
         register_family(
@@ -302,7 +316,7 @@ class TestRunner:
             metrics={"window": "full"},
         )
         row_a = execute_scenario(scenario, engine="compiled")
-        row_b = execute_scenario(scenario, engine="event")
+        row_b = execute_scenario(scenario, engine="naive")
         assert row_a["status"] == "ok", row_a.get("error")
         variants = row_a["metrics"]["variants"]
         assert [v["variant"] for v in variants] == [0, 1]
@@ -384,6 +398,24 @@ class TestReportAndCLI:
             "scenarios": [{"family": "warp_drive"}],
         }), encoding="utf-8")
         assert main(["validate", str(unknown)]) == 2
+
+    def test_cli_unknown_engine_rejected(self, tmp_path, capsys):
+        from repro.sweep.__main__ import main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(SMALL_CAMPAIGN), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(path), "--engine", "event", "--out", str(out_dir)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'event'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+        spec = {**SMALL_CAMPAIGN, "campaign": {"engine": "event"}}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert "campaign.engine" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_cli_families_json(self, capsys):
         from repro.sweep.__main__ import main

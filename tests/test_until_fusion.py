@@ -101,8 +101,8 @@ def test_observer_disables_fusion_but_run_still_correct():
 def test_fusion_blockers_reporting():
     sim, _src, _sink = _loaded_chain()
     assert sim.fusion_blockers() == []
-    sim_e, _src, _sink = _loaded_chain(engine="event")
-    kinds = [b["kind"] for b in sim_e.fusion_blockers()]
+    sim_n, _src, _sink = _loaded_chain(engine="naive")
+    kinds = [b["kind"] for b in sim_n.fusion_blockers()]
     assert "engine" in kinds
     sim_o, _src, _sink = _loaded_chain()
     sim_o.add_observer(lambda _s: None)
