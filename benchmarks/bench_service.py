@@ -202,8 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     reference = canonical_report(run_campaign(from_dict(spec_mapping)))
 
     process, base_url = start_server(args.workers)
+    client = ServiceClient(base_url, timeout=60)
     try:
-        client = ServiceClient(base_url, timeout=60)
         client.wait_ready()
 
         # Cold pass doubles as the streamed-progress check: follow the
@@ -241,16 +241,16 @@ def main(argv: list[str] | None = None) -> int:
         assert parse_gauge(scrape, "repro_pool_workers") == args.workers
 
         def one_client(client_index: int) -> list[float]:
-            own = ServiceClient(base_url, timeout=60)
             latencies = []
-            for _ in range(args.repeats):
-                elapsed, report = timed_run(own, spec_mapping)
-                summary = report["summary"]
-                assert summary.get("dedup_hits") == scenario_count, (
-                    f"warm pass simulated scenarios: {summary}"
-                )
-                assert canonical_report(report) == reference
-                latencies.append(elapsed)
+            with ServiceClient(base_url, timeout=60) as own:
+                for _ in range(args.repeats):
+                    elapsed, report = timed_run(own, spec_mapping)
+                    summary = report["summary"]
+                    assert summary.get("dedup_hits") == scenario_count, (
+                        f"warm pass simulated scenarios: {summary}"
+                    )
+                    assert canonical_report(report) == reference
+                    latencies.append(elapsed)
             return latencies
 
         with GaugeSampler(client) as sampler:
@@ -304,6 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"graceful drain: job finished and server exited 0 "
               f"in {drain_s * 1000:.1f} ms")
     finally:
+        client.close()
         if process.poll() is None:
             process.terminate()
         process.wait(timeout=15)

@@ -2,7 +2,7 @@
 
 ``python -m repro.serve`` starts a stdlib-only HTTP/JSON front end over
 a :class:`repro.sweep.jobs.JobService` — an async job queue, a
-persistent worker pool with cross-job design-cache affinity, and a
+persistent worker pool whose design caches stay warm across jobs, and a
 persisted result store that answers repeated scenarios from memory
 instead of re-simulating them.
 

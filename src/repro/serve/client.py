@@ -4,6 +4,13 @@ The tests, the load benchmark (``benchmarks/bench_service.py``) and the
 CI smoke job all talk to the server through this one wrapper, so the
 client-visible contract is exercised end to end everywhere it is used.
 
+Each calling thread keeps one kept-alive ``http.client`` connection to
+the server (HTTP/1.1), so a request costs one round trip, not a TCP
+handshake.  A reused connection that the server has since closed (its
+idle timeout, or a restart) fails on first use; that request is sent
+again at once on a fresh connection, without backoff.  ``close()`` (or
+leaving a ``with`` block) closes every thread's connection.
+
 The client retries transient failures — connection errors, timeouts
 and 5xx responses — with exponential backoff + jitter (``retries=`` /
 ``backoff_s=`` constructor knobs).  Idempotent GETs are trivially safe
@@ -16,11 +23,12 @@ they are answers, not failures.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Any, Callable, Mapping
 
 
@@ -38,6 +46,26 @@ class ServiceError(RuntimeError):
         super().__init__(f"HTTP {status}: {payload}")
 
 
+def _send(
+    conn: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    data: bytes | None,
+) -> http.client.HTTPResponse:
+    """One request on *conn*; the response, or :class:`ServiceError`."""
+    headers = {"Content-Type": "application/json"} if data is not None else {}
+    conn.request(method, path, body=data, headers=headers)
+    response = conn.getresponse()
+    if response.status >= 400:
+        raw = response.read()
+        try:
+            payload = json.loads(raw)
+        except ValueError:
+            payload = {"error": {"reason": raw.decode("utf-8", "replace")}}
+        raise ServiceError(response.status, payload)
+    return response
+
+
 class ServiceClient:
     """Minimal JSON-over-HTTP client for one service base URL."""
 
@@ -52,16 +80,51 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = retries
         self.backoff_s = backoff_s
+        url = urllib.parse.urlsplit(self.base_url)
+        self._netloc = url.netloc
+        self._prefix = url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every thread's kept-alive connection.
+
+        The client stays usable: a later request opens a new one.
+        """
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's kept-alive connection (opened lazily)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
 
     def _retrying(self, call: Callable[[], Any]) -> Any:
         """Run *call*, retrying transient failures with backoff.
 
         Retryable: 5xx :class:`ServiceError`, connection-level
-        ``OSError`` (``urllib.error.URLError`` included) and socket
-        timeouts.  4xx errors re-raise immediately — they are the
-        service's answer, not a transport fault.  Backoff doubles per
-        attempt with multiplicative jitter (0.5x-1.5x) so a thundering
-        herd of clients decorrelates.
+        ``OSError``, malformed responses (``http.client.HTTPException``)
+        and socket timeouts.  4xx errors re-raise immediately — they
+        are the service's answer, not a transport fault.  Backoff
+        doubles per attempt with multiplicative jitter (0.5x-1.5x) so a
+        thundering herd of clients decorrelates.
         """
         attempt = 0
         while True:
@@ -70,7 +133,7 @@ class ServiceClient:
             except ServiceError as exc:
                 if exc.status < 500 or attempt >= self.retries:
                     raise
-            except (TimeoutError, OSError):
+            except (OSError, http.client.HTTPException):
                 if attempt >= self.retries:
                     raise
             attempt += 1
@@ -80,29 +143,40 @@ class ServiceClient:
                 * (0.5 + random.random())
             )
 
-    def _request(
+    def _fetch(
         self, method: str, path: str, body: Mapping[str, Any] | None = None
-    ) -> Any:
+    ) -> bytes:
+        """One round trip on this thread's connection; the raw body.
+
+        A connection error on a *reused* connection means the server
+        closed it while idle: the request is sent once more, at once,
+        on a fresh connection.  A transport failure leaves the
+        connection closed, so the next request starts clean.
+        """
         data = (
             json.dumps(body).encode("utf-8") if body is not None else None
         )
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
+        conn = self._connection()
+        reused = conn.sock is not None
+        while True:
             try:
-                payload = json.loads(exc.read())
-            except Exception:
-                payload = {"error": {"reason": str(exc)}}
-            raise ServiceError(exc.code, payload) from None
+                with _send(conn, method, self._prefix + path, data) as response:
+                    return response.read()
+            except ServiceError:
+                raise  # the body was read: the connection is still good
+            except ConnectionError:
+                conn.close()
+                if not reused:
+                    raise
+                reused = False
+            except BaseException:
+                conn.close()
+                raise
+
+    def _request(
+        self, method: str, path: str, body: Mapping[str, Any] | None = None
+    ) -> Any:
+        return json.loads(self._fetch(method, path, body))
 
     # -- the API --------------------------------------------------------
 
@@ -147,80 +221,51 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """``GET /metrics``: the Prometheus text exposition, verbatim."""
-
-        def fetch() -> str:
-            request = urllib.request.Request(
-                f"{self.base_url}/metrics", method="GET"
-            )
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    return response.read().decode("utf-8")
-            except urllib.error.HTTPError as exc:
-                raise ServiceError(exc.code, exc.read().decode()) from None
-
-        return self._retrying(fetch)
+        return self._retrying(
+            lambda: self._fetch("GET", "/metrics").decode("utf-8")
+        )
 
     def trace(self, job_id: str) -> list[dict[str, Any]]:
         """``GET /campaigns/<id>/trace``: the merged span list."""
-
-        def fetch() -> list[dict[str, Any]]:
-            request = urllib.request.Request(
-                f"{self.base_url}/campaigns/{job_id}/trace", method="GET"
-            )
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    return [
-                        json.loads(line)
-                        for line in response.read().splitlines()
-                        if line.strip()
-                    ]
-            except urllib.error.HTTPError as exc:
-                try:
-                    payload = json.loads(exc.read())
-                except Exception:
-                    payload = {"error": {"reason": str(exc)}}
-                raise ServiceError(exc.code, payload) from None
-
-        return self._retrying(fetch)
+        raw = self._retrying(
+            lambda: self._fetch("GET", f"/campaigns/{job_id}/trace")
+        )
+        return [json.loads(line) for line in raw.splitlines() if line.strip()]
 
     def events(self, job_id: str, timeout: float | None = None):
         """``GET /campaigns/<id>/events``: yield progress events live.
 
         A generator over the server's NDJSON stream; ends after the
         terminal ``{"event": "job", "state": ...}`` event (the server
-        closes the connection).  *timeout* is the socket timeout for
-        the whole stream (defaults to the client timeout) — size it to
-        the campaign, not to the inter-event gap.  Only establishing
-        the stream is retried; a drop mid-stream surfaces to the caller
+        closes the connection).  The stream has a connection of its
+        own, so the caller's thread may make other requests while it
+        reads.  *timeout* is the socket timeout for the whole stream
+        (defaults to the client timeout) — size it to the campaign,
+        not to the inter-event gap.  Only establishing the stream is
+        retried; a drop mid-stream surfaces to the caller
         (reconnecting replays the full event log from seq 0).
         """
-        stream_timeout = timeout if timeout is not None else self.timeout
+        conn = http.client.HTTPConnection(
+            self._netloc,
+            timeout=timeout if timeout is not None else self.timeout,
+        )
+        path = f"{self._prefix}/campaigns/{job_id}/events"
 
-        def open_stream():
-            request = urllib.request.Request(
-                f"{self.base_url}/campaigns/{job_id}/events", method="GET"
-            )
+        def open_stream() -> http.client.HTTPResponse:
             try:
-                return urllib.request.urlopen(
-                    request, timeout=stream_timeout
-                )
-            except urllib.error.HTTPError as exc:
-                try:
-                    payload = json.loads(exc.read())
-                except Exception:
-                    payload = {"error": {"reason": str(exc)}}
-                raise ServiceError(exc.code, payload) from None
+                return _send(conn, "GET", path, None)
+            except BaseException:
+                conn.close()  # a retry starts on a fresh connection
+                raise
 
-        response = self._retrying(open_stream)
-        with response:
+        try:
+            response = self._retrying(open_stream)
             for line in response:
                 line = line.strip()
                 if line:
                     yield json.loads(line)
+        finally:
+            conn.close()
 
     # -- conveniences ---------------------------------------------------
 
@@ -246,7 +291,7 @@ class ServiceClient:
         while True:
             try:
                 return self.healthz()
-            except (ServiceError, OSError):
+            except (ServiceError, OSError, http.client.HTTPException):
                 if time.monotonic() > deadline:
                     raise
                 time.sleep(0.1)

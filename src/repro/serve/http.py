@@ -10,7 +10,10 @@ admission-control rejections as HTTP 429 with the
 
 The server is a ``ThreadingHTTPServer``: request threads only enqueue
 jobs and read status snapshots; all simulation happens in the
-service's dispatcher/worker processes.
+service's dispatcher/worker processes.  It speaks HTTP/1.1, so a client
+keeps one connection across requests (every response but the
+``/events`` stream carries a ``Content-Length``); an idle kept-alive
+connection is closed after :data:`IDLE_TIMEOUT_S`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ MAX_WAIT_S = 300.0
 #: Longest an ``/events`` stream waits between events, seconds.
 EVENTS_TIMEOUT_S = 300.0
 
+#: Longest a kept-alive connection may sit idle (or a socket read or
+#: write may stall) before the server closes it, seconds.
+IDLE_TIMEOUT_S = 60.0
+
 _CAMPAIGN_ROUTE = re.compile(
     r"^/campaigns/(?P<job_id>[\w.\-]+)"
     r"(?P<rest>/report|/cancel|/trace|/events)?$"
@@ -41,6 +48,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the owning server's JobService."""
 
     server_version = "repro-serve/1.0"
+    protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; with Nagle on, the body
+    #: waits for the client's delayed ACK (~40 ms per kept-alive reply).
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
     #: Set by :func:`make_server` on the handler subclass.
     service: JobService = None
     quiet: bool = True
@@ -62,12 +74,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, reason: str, **extra: Any) -> None:
         self._send_json(status, {"error": {"reason": reason, **extra}})
 
-    def _read_body(self) -> Any:
+    def _read_body(self) -> bytes:
+        """The raw request body.
+
+        Read on every POST, whatever the route: on a kept-alive
+        connection an unread body would be parsed as the next request.
+        """
         length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValueError("empty request body")
-        return json.loads(raw)
+        return self.rfile.read(length) if length else b""
 
     def _split_query(self) -> tuple[str, dict[str, str]]:
         path, _, query = self.path.partition("?")
@@ -136,13 +150,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """Stream progress events as NDJSON until the job terminates.
 
         No ``Content-Length``: the response body is delimited by
-        connection close (this handler speaks HTTP/1.0 by default), so
-        plain ``urllib`` / ``curl -N`` consumers read line-by-line
-        until EOF.  Each line is one JSON event; the terminal
-        ``{"event": "job", "state": ...}`` line ends the stream.
+        connection close (``Connection: close`` ends keep-alive for
+        this one response), so plain ``urllib`` / ``curl -N`` consumers
+        read line-by-line until EOF.  Each line is one JSON event; the
+        terminal ``{"event": "job", "state": ...}`` line ends the
+        stream.
         """
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Connection", "close")
         self.end_headers()
         try:
             for event in self.service.events(
@@ -174,10 +190,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return self._send_json(200, job.report)
 
     def do_POST(self) -> None:
+        raw = self._read_body()
         path, _params = self._split_query()
         if path == "/campaigns":
             try:
-                data = self._read_body()
+                if not raw:
+                    raise ValueError("empty request body")
+                data = json.loads(raw)
             except ValueError as exc:
                 return self._error(400, f"invalid JSON body: {exc}")
             try:

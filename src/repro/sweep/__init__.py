@@ -12,8 +12,8 @@ patterns.  This package is the layer that runs such campaigns:
   duplicated across the ``benchmarks/`` scripts.
 * :mod:`repro.sweep.jobs` — **the programmatic entry point**: the
   transport-agnostic jobs API (submit/status/result/cancel) backed by
-  an async job queue, a persistent worker pool with cross-job
-  design-cache affinity, and result-store dedup.  The CLI and the
+  an async job queue, a persistent worker pool whose design caches
+  stay warm across jobs (warm-set placement), and result-store dedup.  The CLI and the
   :mod:`repro.serve` HTTP front end are both thin clients of it.
 * :mod:`repro.sweep.runner` — scenario execution: deterministic
   scenario seeds and per-worker design reuse (built once, rewound

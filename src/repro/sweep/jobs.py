@@ -15,13 +15,17 @@ The moving parts of a :class:`JobService`:
   :meth:`~JobService.result` / :meth:`~JobService.cancel` observe and
   steer jobs by id.
 
-* **A persistent worker pool with design-cache affinity.**  With
-  ``workers=N`` the service keeps N long-lived worker processes;
-  scenarios are routed to workers by a stable hash of their design key
-  (:func:`design_affinity`), so every scenario of one design — across
-  *all* jobs, not just within one campaign — lands on the worker that
-  already holds that design compiled, and rewinds it via the kernel's
-  columnar snapshot/restore instead of rebuilding.  ``workers<=1`` (or
+* **A persistent worker pool with warm-set placement.**  With
+  ``workers=N`` the service keeps N long-lived worker processes, and
+  the dispatcher tracks which workers hold which design compiled (the
+  design's *warm set*).  A design is first built on its affinity worker
+  (a stable hash of its design key, :func:`design_affinity`); each
+  later job using it adds one more holder, until every worker holds
+  it; then its units go to whichever holder is free first.  Across
+  *all* jobs, not just within one campaign, a warm worker rewinds the
+  design via the kernel's columnar snapshot/restore instead of
+  rebuilding, and which workers build what depends only on the job
+  stream.  ``workers<=1`` (or
   0) runs inline: a pool of one *thread* worker in the service's own
   process, driven by the same dispatch loop and worker loop, with the
   same long-lived cache.  A worker process that dies fails only the
@@ -52,8 +56,8 @@ The service is also **fault-tolerant** (the resilience layer):
   and a fresh thread with a cold cache takes over.
 * **Bounded retries** — rows failing with a retryable status
   (:data:`RETRYABLE_STATUSES`) are re-enqueued up to ``retries`` times
-  with exponential backoff, re-routed off the affinity worker on the
-  second attempt.  A retried-then-ok row is bit-identical to a
+  with exponential backoff, pinned to the worker after the one that
+  failed.  A retried-then-ok row is bit-identical to a
   first-try row (determinism again); its ``attempts`` count is a
   volatile field.
 * **Admission control** — ``max_queued_jobs`` / ``max_scenarios_per_job``
@@ -295,7 +299,9 @@ class _WorkerPool:
     """N persistent workers sharing one result queue.
 
     Workers are processes, or with *threads* (inline mode) threads of
-    the dispatcher's process.
+    the dispatcher's process.  ``warm`` is the dispatcher's view of the
+    workers' design caches: cache key -> the workers that hold it, in
+    the order they built it.
     """
 
     def __init__(self, size: int, threads: bool = False):
@@ -306,15 +312,33 @@ class _WorkerPool:
             _Worker(self._ctx, i, self.results) for i in range(size)
         ]
         self.respawns = 0
+        self.warm: dict[tuple, list[int]] = {}
 
     def alive(self) -> list[bool]:
         return [w.alive() for w in self.workers]
+
+    def next_cold(self, key: tuple) -> int | None:
+        """The first worker, in design-affinity rotation, not holding *key*.
+
+        None once every worker holds it.  With no holder yet this is
+        the design's affinity worker.
+        """
+        holders = self.warm.get(key, ())
+        start = design_affinity(key[0], self.size)
+        for step in range(self.size):
+            index = (start + step) % self.size
+            if index not in holders:
+                return index
+        return None
 
     def respawn(self, index: int) -> None:
         """Replace a dead or hung worker with a fresh (cold-cache) one."""
         self.workers[index].kill()
         self.workers[index] = _Worker(self._ctx, index, self.results)
         self.respawns += 1
+        for holders in self.warm.values():
+            if index in holders:
+                holders.remove(index)
 
     def close(self) -> None:
         for worker in self.workers:
@@ -1141,35 +1165,45 @@ class JobService:
     # -- execution ------------------------------------------------------
 
     def _run_units(self, job: Job, pending, rows) -> None:
-        """Affinity-routed execution across the worker pool.
+        """Warm-set pull execution across the worker pool.
 
         The one execution path of both modes: inline is a pool of one
         thread worker.  Units (not single scenarios) are the message
-        granularity: every scenario in a unit shares one design key, so
-        the whole batch lands on the worker holding that design.  The
-        dispatcher is also the watchdog: each poll-timeout tick it
+        granularity: every scenario in a unit shares one design key.
+        Placement follows the pool's warm sets (cache key -> workers
+        holding the built design), so which workers build which design
+        is a pure function of the job stream:
+
+        * a design nobody holds is built on its affinity worker
+          (:func:`design_affinity`);
+        * a job whose design is held by some but not all workers pins
+          one of its units to the next cold worker in affinity
+          rotation, so each job adds at most one holder per design;
+        * every other unit goes to whichever holder is free first.
+
+        The dispatcher is also the watchdog: each poll-timeout tick it
         checks every in-flight unit's worker for death and its deadline
         for expiry; either verdict fails (or retries) the whole unit and
-        kills and respawns the worker.  Retried units go to the back of
-        their worker's backlog, so siblings run during the backoff, and
-        are routed off the affinity worker (``+ attempt - 1`` rotation)
-        — dodging both a possibly poisoned cache and the cold respawn.
-        Cancellation stops dispatching: in-flight units finish (an
-        ensemble batch is one simulation), backlogged ones are reported
-        ``status="cancelled"``.
+        kills and respawns the worker, which leaves every warm set.
+        Retried units wait out their backoff at the back of the queue,
+        so siblings run meanwhile, and are pinned to the worker after
+        the one that failed — dodging both a possibly poisoned cache
+        and the cold respawn.  Cancellation stops dispatching:
+        in-flight units finish (an ensemble batch is one simulation),
+        waiting ones are reported ``status="cancelled"``.
         """
         pool = self._ensure_pool()
-
-        def route(unit, attempt: int) -> int:
-            return (
-                design_affinity(unit[0].design_key(), pool.size)
-                + attempt - 1
-            ) % pool.size
-
-        backlog: dict[int, deque] = {i: deque() for i in range(pool.size)}
+        # (unit, cache key, attempt, not before (unix s), pinned worker)
+        waiting: list[tuple] = []
+        grown: set[tuple] = set()
         for unit in plan_units(pending, self.ensemble):
-            backlog[route(unit, 1)].append((unit, 1, 0.0))
-        # widx -> (token, unit, attempt, absolute deadline | None, timeout_s)
+            key = (unit[0].design_key(), job.engine, len(unit) > 1)
+            pin = None
+            if pool.warm.get(key) and key not in grown:
+                grown.add(key)
+                pin = pool.next_cold(key)
+            waiting.append((unit, key, 1, 0.0, pin))
+        # widx -> (token, unit, key, attempt, deadline | None, timeout_s)
         inflight: dict[int, tuple] = {}
         remaining = len(pending)
         total = len(job.spec.scenarios)
@@ -1193,7 +1227,9 @@ class JobService:
             point span) or finalizes every row as *status* — and
             respawns the worker either way.
             """
-            _token, unit, attempt, _deadline, _timeout_s = inflight.pop(i)
+            _token, unit, key, attempt, _deadline, _timeout_s = (
+                inflight.pop(i)
+            )
             if status == "timeout":
                 self._m_timeouts.inc(len(unit))
             will_retry = (
@@ -1232,9 +1268,10 @@ class JobService:
                         "reason": status,
                     }
                 )
-                backlog[route(unit, attempt + 1)].append(
-                    (unit, attempt + 1, time.time() + backoff)
-                )
+                waiting.append((
+                    unit, key, attempt + 1, time.time() + backoff,
+                    (i + 1) % pool.size,
+                ))
             else:
                 for row in _status_rows(unit, i, status, message):
                     row["attempts"] = attempt
@@ -1247,26 +1284,39 @@ class JobService:
 
         while remaining:
             if job.cancel_event.is_set():
-                for dq in backlog.values():
-                    while dq:
-                        unit, _attempt, _ready = dq.popleft()
-                        for row in _status_rows(
-                            unit, None, "cancelled",
-                            "job cancelled before this scenario ran",
-                        ):
-                            account(row)
+                for unit, *_rest in waiting:
+                    for row in _status_rows(
+                        unit, None, "cancelled",
+                        "job cancelled before this scenario ran",
+                    ):
+                        account(row)
+                waiting.clear()
                 if not inflight:
                     break
             now = time.time()
-            for i, dq in backlog.items():
-                if i in inflight or not dq or dq[0][2] > now:
-                    continue  # busy, idle, or head still backing off
-                unit, attempt, _ready = dq.popleft()
+            still_waiting = []
+            for entry in waiting:
+                unit, key, attempt, ready_at, pin = entry
+                holders = pool.warm.setdefault(key, [])
+                if pin is None and not holders:
+                    pin = pool.next_cold(key)
+                if ready_at > now:
+                    i = None  # still backing off
+                elif pin is not None:
+                    i = None if pin in inflight else pin
+                else:
+                    i = next((h for h in holders if h not in inflight), None)
+                if i is None:
+                    still_waiting.append(entry)
+                    continue
+                if i not in holders:
+                    holders.append(i)
                 token = (job.id, next(self._tokens))
                 pool.workers[i].tasks.put((token, unit, job.engine, opts))
                 timeout_s = self._unit_deadline(job, unit)
                 deadline = now + timeout_s if timeout_s is not None else None
-                inflight[i] = (token, unit, attempt, deadline, timeout_s)
+                inflight[i] = (token, unit, key, attempt, deadline, timeout_s)
+            waiting = still_waiting
             if self.pool_size:  # inline mode reports no pool
                 self._m_inflight.set(len(inflight))
             try:
@@ -1274,7 +1324,7 @@ class JobService:
             except queue.Empty:
                 now = time.time()
                 for i in list(inflight):
-                    _token, _unit, _attempt, deadline, timeout_s = inflight[i]
+                    *_entry, deadline, timeout_s = inflight[i]
                     worker = pool.workers[i]
                     if not worker.alive():
                         fail(
@@ -1299,7 +1349,7 @@ class JobService:
                 # already failed, or another job's — never this one.
                 continue
             inflight.pop(widx)
-            attempt = entry[2]
+            attempt = entry[3]
             job.worker_spans.extend(spans)
             for row in unit_rows:
                 row["attempts"] = attempt

@@ -322,20 +322,87 @@ class TestDesignCacheAffinity:
         reason="pool tests rely on fork inheritance",
     )
     def test_pooled_cache_survives_jobs(self):
+        # Warm-set placement: job 1 builds every design on its affinity
+        # worker, job 2 builds each design on exactly one more worker,
+        # and job 3 finds every design warm wherever it runs.
+        scenarios = from_dict(SMALL_CAMPAIGN).scenarios
         with JobService(workers=2) as service:
-            first = service.result(service.submit(SMALL_CAMPAIGN))
-            second = service.result(service.submit(SMALL_CAMPAIGN))
-        assert {r["design_cache"] for r in first["scenarios"]} == {"build"}
-        assert {r["design_cache"] for r in second["scenarios"]} == {"hit"}
-        # Affinity: each design key maps to exactly one worker, and the
-        # assignment repeats across jobs.
-        for report in (first, second):
-            by_design: dict[str, set] = {}
+            reports = [
+                service.result(service.submit(SMALL_CAMPAIGN))
+                for _ in range(3)
+            ]
+        builds = []  # per job: design key -> workers that built it
+        for report in reports:
+            built: dict[str, set] = {}
             for row in report["scenarios"]:
-                design = f"{row['family']}({row['params']})"
-                by_design.setdefault(design, set()).add(row["shard"])
-            assert all(len(shards) == 1 for shards in by_design.values())
-        assert _metrics_by_key(first) == _metrics_by_key(second)
+                if row["design_cache"] == "build":
+                    design = scenarios[row["index"]].design_key()
+                    built.setdefault(design, set()).add(row["shard"])
+            builds.append(built)
+        first, second, third = builds
+        assert {r["design_cache"] for r in reports[0]["scenarios"]} == {
+            "build"
+        }
+        assert first == {
+            design: {design_affinity(design, 2)} for design in first
+        }
+        assert second.keys() == first.keys()
+        for design, workers in second.items():
+            assert len(workers) == 1 and workers.isdisjoint(first[design])
+        assert third == {}
+        assert {r["design_cache"] for r in reports[2]["scenarios"]} == {
+            "hit"
+        }
+        for report in reports[1:]:
+            assert _metrics_by_key(report) == _metrics_by_key(reports[0])
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool tests rely on fork inheritance",
+    )
+    def test_pooled_placement_is_a_function_of_the_job_stream(self):
+        # Several units per design, so units pull from whichever holder
+        # frees first; which workers build stays fixed all the same.
+        def campaign(seed):
+            return {
+                "campaign": {"name": "placement", "seed": seed},
+                "scenarios": [
+                    {
+                        "family": "mt_chain",
+                        "params": {"threads": 2, "n_funcs": 2},
+                        "grid": {"stimulus.items_per_thread": [4, 5, 6]},
+                    },
+                    {
+                        "family": "mt_pipeline",
+                        "params": {"threads": 2, "n_stages": 2},
+                        "grid": {"stimulus.items_per_thread": [3, 4, 5]},
+                    },
+                ],
+            }
+
+        def run_stream():
+            with JobService(workers=2, ensemble="off") as service:
+                job_ids = [
+                    service.submit(campaign(seed)) for seed in (1, 2, 3)
+                ]
+                caches = [
+                    [row["design_cache"]
+                     for row in service.result(job_id)["scenarios"]]
+                    for job_id in job_ids
+                ]
+                builds = sum(
+                    span["attrs"].get("design_cache") == "build"
+                    for job_id in job_ids
+                    for span in service.trace(job_id)
+                    if span["name"] == "build"
+                )
+            return caches, builds
+
+        caches, builds = run_stream()
+        assert run_stream() == (caches, builds)
+        # 2 designs: built on one worker by job 1, on the other by job 2.
+        assert builds == 4
+        assert [c.count("build") for c in caches] == [2, 2, 0]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

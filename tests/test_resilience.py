@@ -704,6 +704,7 @@ class TestServiceHTTP:
                 == {"too_many_scenarios": 1}
             )
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             service.close()
@@ -732,17 +733,17 @@ class TestServiceHTTP:
 
         threading.Thread(target=late_start, daemon=True).start()
         try:
-            eager = ServiceClient(
+            with ServiceClient(
                 f"http://127.0.0.1:{port}", timeout=5.0,
                 retries=0, backoff_s=0.05,
-            )
-            with pytest.raises(OSError):
-                eager.healthz()
-            patient = ServiceClient(
+            ) as eager:
+                with pytest.raises(OSError):
+                    eager.healthz()
+            with ServiceClient(
                 f"http://127.0.0.1:{port}", timeout=5.0,
                 retries=6, backoff_s=0.15,
-            )
-            assert patient.healthz()["status"] == "ok"
+            ) as patient:
+                assert patient.healthz()["status"] == "ok"
         finally:
             time.sleep(0.05)
             for obj in cleanup:

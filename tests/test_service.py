@@ -8,8 +8,13 @@ repro.serve --workers 0 --memory-store`` produces, minus the process.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 import threading
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -39,21 +44,42 @@ CAMPAIGN = {
 }
 
 
-@pytest.fixture
-def service_client():
-    service = JobService(workers=0, store=True)
+@contextlib.contextmanager
+def served(service, **client_options):
+    """Serve *service* on a free localhost port.
+
+    Yields ``(client, server, accepts)``: *accepts* lists the peer of
+    every connection the server has accepted.
+    """
     server = make_server(service)
+    accepts: list = []
+    accept = server.get_request
+
+    def counting_accept():
+        request = accept()
+        accepts.append(request[1])
+        return request
+
+    server.get_request = counting_accept
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout=30.0)
+    options = {"timeout": 30.0, **client_options}
     try:
-        yield client, service
+        with ServiceClient(f"http://{host}:{port}", **options) as client:
+            yield client, server, accepts
     finally:
         server.shutdown()
         server.server_close()
         service.close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def service_client():
+    service = JobService(workers=0, store=True)
+    with served(service) as (client, _server, _accepts):
+        yield client, service
 
 
 class TestRoutes:
@@ -119,16 +145,12 @@ class TestRoutes:
 
     def test_invalid_json_body_is_400(self, service_client):
         client, _service = service_client
-        import urllib.request
-
         request = urllib.request.Request(
             f"{client.base_url}/campaigns",
             data=b"not json {",
             method="POST",
             headers={"Content-Type": "application/json"},
         )
-        import urllib.error
-
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
@@ -326,6 +348,100 @@ class TestObservabilityRoutes:
         with pytest.raises(ServiceError) as excinfo:
             list(client.events("job-999999"))
         assert excinfo.value.status == 404
+
+
+class TestTransport:
+    """HTTP/1.1 keep-alive: one connection per client thread."""
+
+    def test_one_connection_per_client_thread(self):
+        with served(JobService(workers=0)) as (client, _server, accepts):
+            job_id = client.submit(CAMPAIGN)["id"]
+            client.report(job_id, wait=60)
+            client.status(job_id)
+            client.trace(job_id)
+            client.metrics()
+            client.families()
+            for _ in range(4):
+                client.healthz()
+            with pytest.raises(ServiceError):
+                client.status("job-999999")  # an error keeps it too
+            client.healthz()
+            assert len(accepts) == 1
+            other = threading.Thread(target=client.healthz)
+            other.start()
+            other.join(timeout=10)
+            client.healthz()
+            assert len(accepts) == 2
+
+    def test_threads_share_one_client(self):
+        # More threads than cores, switching often: every thread gets a
+        # connection of its own, and each one is registered for close().
+        threads, calls = 8, 15
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with served(JobService(workers=0)) as (client, _server, accepts):
+                answers: list = []
+
+                def hammer():
+                    for _ in range(calls):
+                        answers.append(client.healthz()["status"])
+
+                workers = [
+                    threading.Thread(target=hammer) for _ in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                assert not any(worker.is_alive() for worker in workers)
+                assert answers == ["ok"] * (threads * calls)
+                assert len(accepts) == threads
+                assert len(client._connections) == threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_events_stream_ends_at_terminal_event(self):
+        with served(JobService(workers=0)) as (client, _server, accepts):
+            job_id = client.submit(CAMPAIGN)["id"]
+            streamed = list(client.events(job_id, timeout=60))
+            url = f"{client.base_url}/campaigns/{job_id}/events"
+            with urllib.request.urlopen(url, timeout=60) as response:
+                assert response.headers["Connection"] == "close"
+                plain = [json.loads(line) for line in response if line.strip()]
+            for events in (streamed, plain):
+                assert events[-1]["event"] == "job"
+                assert events[-1]["state"] == "done"
+            assert plain == streamed
+            # The stream had its own connection; the kept-alive one
+            # still serves the thread's requests.
+            client.healthz()
+            assert len(accepts) == 3
+
+    def test_stale_connection_is_retried_at_once(self):
+        service = JobService(workers=0)
+        with served(service, retries=2, backoff_s=1.0) as (
+            client, server, accepts,
+        ):
+            server.RequestHandlerClass.timeout = 0.2  # idle close
+            client.healthz()
+            time.sleep(0.6)  # the server has closed the idle connection
+            start = time.perf_counter()
+            assert client.healthz()["status"] == "ok"
+            # The first backoff sleep alone would be >= 0.5 s.
+            assert time.perf_counter() - start < 0.4
+            assert len(accepts) == 2
+
+    def test_kept_alive_replies_do_not_stall(self):
+        # Headers and body leave in two writes; with Nagle's algorithm
+        # on, each reply waits ~40 ms for the client's delayed ACK.
+        with served(JobService(workers=0)) as (client, _server, accepts):
+            client.healthz()
+            start = time.perf_counter()
+            for _ in range(20):
+                client.healthz()
+            assert time.perf_counter() - start < 0.4
+            assert len(accepts) == 1
 
 
 class TestCLIFlags:
