@@ -20,6 +20,9 @@ looser floors.  Every measurement runs :data:`REPS` times, with the
 engines interleaved rep by rep: full mode records the best rep (the
 statistic of the committed baseline), smoke mode gates on the median so
 a single noisy read on a shared runner can neither fail nor pass it.
+Beside each recorded statistic ``x`` the JSON carries ``x_iqr``, the
+interquartile range of its per-rep values (for a ratio, of the per-rep
+ratios of interleaved reps) — the run's noise, never gated.
 """
 
 from __future__ import annotations
@@ -302,9 +305,7 @@ def _measure_ensemble_family(family, params, stimulus, width, reps):
         execute_ensemble(scenarios, None, cache=ens_cache)
         ensemble.append(time.perf_counter() - start)
     # Aggregate scenarios/sec of the batch over that of the serial runs.
-    ensemble_rate = _summary([1 / t for t in ensemble])
-    serial_rate = _summary([1 / t for t in serial])
-    return round(ensemble_rate / serial_rate, 2)
+    return _ratio([1 / t for t in ensemble], [1 / t for t in serial])
 
 
 def _summary(rates: list[float]) -> float:
@@ -313,10 +314,24 @@ def _summary(rates: list[float]) -> float:
     return statistics.median(rates) if SMOKE else max(rates)
 
 
+def _iqr(values: list[float]) -> float:
+    """Interquartile range of per-rep values (needs two or more)."""
+    q1, _median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def _ratio(top: list[float], bottom: list[float]) -> tuple[float, float]:
+    """(summary ratio, IQR of per-rep ratios) of two interleaved rate
+    series, both rounded to the JSON's two decimals."""
+    ratio = _summary(top) / _summary(bottom)
+    spread = _iqr([t / b for t, b in zip(top, bottom)])
+    return round(ratio, 2), round(spread, 2)
+
+
 def _measure(runners, reps):
     """Run ``runners`` (label -> zero-argument runner) *reps* times,
     interleaved rep by rep, so drift on a shared host hits every label
-    alike.  Returns label -> (summarized cps, cycles, fingerprint)."""
+    alike.  Returns label -> (per-rep cps, cycles, fingerprint)."""
     rates: dict[str, list[float]] = {label: [] for label in runners}
     last: dict[str, tuple] = {}
     for _ in range(reps):
@@ -324,9 +339,7 @@ def _measure(runners, reps):
             cycles, elapsed, fingerprint = runner()
             rates[label].append(cycles / elapsed)
             last[label] = (cycles, fingerprint)
-    return {
-        label: (_summary(rates[label]), *last[label]) for label in runners
-    }
+    return {label: (rates[label], *last[label]) for label in runners}
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +371,7 @@ def _run_pipeline_after_profile():
 
 
 def measure_profile_overhead(reps):
-    """Returns (overhead ratio, plain cps, after-detach cps)."""
+    """Returns (overhead ratio, its IQR): after-detach cps over plain."""
     measured = _measure(
         {
             "plain": lambda: _run_pipeline("compiled"),
@@ -366,12 +379,12 @@ def measure_profile_overhead(reps):
         },
         reps,
     )
-    plain_cps, _cycles, plain_fp = measured["plain"]
-    after_cps, _cycles, after_fp = measured["after"]
+    plain_rates, _cycles, plain_fp = measured["plain"]
+    after_rates, _cycles, after_fp = measured["after"]
     assert plain_fp == after_fp, (
         "profiler attach/detach changed behaviour"
     )
-    return after_cps / plain_cps, plain_cps, after_cps
+    return _ratio(after_rates, plain_rates)
 
 
 def run_comparison():
@@ -393,26 +406,30 @@ def run_comparison():
             },
             reps,
         )
-        naive_cps, _cycles, naive_fp = measured["naive"]
-        compiled_cps, cycles, compiled_fp = measured["compiled"]
+        naive_rates, _cycles, naive_fp = measured["naive"]
+        compiled_rates, cycles, compiled_fp = measured["compiled"]
         assert naive_fp == compiled_fp, (
             f"{name}: engines disagree on behaviour"
         )
+        speedup, speedup_iqr = _ratio(compiled_rates, naive_rates)
         results["workloads"][name] = {
             "cycles": cycles,
-            "naive_cps": round(naive_cps, 1),
-            "compiled_cps": round(compiled_cps, 1),
-            "compiled_speedup": round(compiled_cps / naive_cps, 2),
+            "naive_cps": round(_summary(naive_rates), 1),
+            "naive_cps_iqr": round(_iqr(naive_rates), 1),
+            "compiled_cps": round(_summary(compiled_rates), 1),
+            "compiled_cps_iqr": round(_iqr(compiled_rates), 1),
+            "compiled_speedup": speedup,
+            "compiled_speedup_iqr": speedup_iqr,
         }
     for name, (params, stimulus, width) in _ensemble_workloads().items():
         row = results["workloads"][name]
         row["ensemble_width"] = width
-        row["ensemble_speedup"] = _measure_ensemble_family(
-            name, params, stimulus, width, reps
+        row["ensemble_speedup"], row["ensemble_speedup_iqr"] = (
+            _measure_ensemble_family(name, params, stimulus, width, reps)
         )
-    overhead, _plain, _after = measure_profile_overhead(reps)
-    results["workloads"]["mt_pipeline"]["profile_overhead"] = round(
-        overhead, 2
+    pipeline = results["workloads"]["mt_pipeline"]
+    pipeline["profile_overhead"], pipeline["profile_overhead_iqr"] = (
+        measure_profile_overhead(reps)
     )
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n",

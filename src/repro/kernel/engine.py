@@ -18,10 +18,11 @@ oracle)
     (:mod:`repro.graphs`).  Every signal is assigned a slot in a flat
     list-backed value store (:mod:`repro.kernel.slots`); each maximal
     run of acyclic SCCs is fused into **one generated straight-line
-    function**, and cyclic regions (combinational handshake loops such
-    as lazy-fork/join meshes or the elastic rings of the MD5 and
-    processor apps) iterate a **dirty-set worklist** to a local fixed
-    point.  Component evaluations come from
+    function** (compiled once per region length and process, see
+    :mod:`repro.kernel.codegen`), and cyclic regions (combinational
+    handshake loops such as lazy-fork/join meshes or the elastic rings
+    of the MD5 and processor apps) iterate a **dirty-set worklist** to a
+    local fixed point.  Component evaluations come from
     :meth:`Component.compile_comb` where available — slot-indexed,
     batch-vectorized closures (an MEB reads its S downstream readies as
     one slice and writes its S ``valid`` wires with one slice
@@ -41,6 +42,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.graphs import condensation_order
+from repro.kernel.codegen import exec_generated
 from repro.kernel.component import Component
 from repro.kernel.errors import ConvergenceError
 from repro.kernel.signal import Signal
@@ -170,9 +172,10 @@ class CompiledEngine:
       to the plain ``combinational()`` method otherwise (whose
       ``Signal.set`` writes keep signal-precise marking);
     * maximal runs of acyclic SCCs are fused into one generated
-      function whose member indices are compile-time constants: a clean
-      member costs one set-membership probe, a dirty one is invoked
-      directly;
+      function whose member indices and steps are bound as closure
+      cells: a clean member costs one set-membership probe, a dirty one
+      is invoked directly, and the code object is shared by every
+      region of the same length (:mod:`repro.kernel.codegen`);
     * cyclic SCCs iterate the dirty-set worklist over component ints.
     """
 
@@ -231,8 +234,8 @@ class CompiledEngine:
         # mark readers through Signal.set -> note_change).  With a
         # profiler attached, every step is wrapped in a timing closure
         # *before* region fusion below, so the generated straight-line
-        # code bakes the instrumented steps in — and a rebuild without
-        # the profiler bakes them back out.
+        # code binds the instrumented steps — and a rebuild without the
+        # profiler binds the plain ones again (same compiled code).
         steps: list[Callable[[], Any]] = [
             comp.compile_comb(store) or comp.combinational
             for comp in active
@@ -324,25 +327,29 @@ class CompiledEngine:
     ) -> Callable[[], None]:
         """Generate one straight-line function sweeping *steps* in order.
 
-        Member indices are baked in as constants: each member costs one
-        set-membership test when clean and is invoked directly when
-        dirty, with no loop bookkeeping, no indirection through member
-        lists and no per-member Python frames besides the evaluation
-        itself.  A dirty mark placed by an earlier member in the same
-        run is consumed by the in-order evaluation; a write *backwards*
-        (only possible through an undeclared driver relationship) leaves
-        its mark standing and triggers a whole-design resweep.
+        Each member costs one set-membership test when clean and is
+        invoked directly when dirty, with no loop bookkeeping, no
+        indirection through member lists and no per-member Python frames
+        besides the evaluation itself.  Member ``k``'s engine index and
+        step are the factory arguments ``_k{k}`` and ``_s{k}`` (closure
+        cells of the returned function), so the source depends only on
+        the region's length and regions of one length share a code
+        object (:mod:`repro.kernel.codegen`).  A dirty mark placed by an
+        earlier member in the same run is consumed by the in-order
+        evaluation; a write *backwards* (only possible through an
+        undeclared driver relationship) leaves its mark standing and
+        triggers a whole-design resweep.
         """
-        names = [f"_s{k}" for k in range(len(steps))]
-        lines = [f"def _make(_D, {', '.join(names)}):", "    def _run():"]
-        for k, idx in enumerate(indices):
-            lines.append(f"        if {idx} in _D:")
-            lines.append(f"            _D.discard({idx})")
+        n = len(steps)
+        params = [f"_s{k}" for k in range(n)] + [f"_k{k}" for k in range(n)]
+        lines = [f"def _make(_D, {', '.join(params)}):", "    def _run():"]
+        for k in range(n):
+            lines.append(f"        if _k{k} in _D:")
+            lines.append(f"            _D.discard(_k{k})")
             lines.append(f"            _s{k}()")
         lines.append("    return _run")
-        namespace: dict[str, Any] = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
-        return namespace["_make"](self._dirty, *steps)
+        namespace = exec_generated("\n".join(lines), {})
+        return namespace["_make"](self._dirty, *steps, *indices)
 
     # ------------------------------------------------------------------
     # change notification (called by Signal.set)

@@ -323,11 +323,12 @@ class Simulator:
                 plan = comp.compile_seq(seq)
                 if plan is not None:
                     if profiler is not None:
-                        # Timing hooks are baked into the plan *before*
+                        # Timing hooks are wrapped into the plan *before*
                         # compile_driver generates the fused tick sweep,
-                        # so profiled and unprofiled builds each run
-                        # their own generated code — nothing branches on
-                        # the profiler at cycle time.
+                        # so a profiled build binds the timed callables
+                        # into the sweep's namespace (sharing the
+                        # unprofiled build's compiled code) — nothing
+                        # branches on the profiler at cycle time.
                         path = plan.component.path
                         plan.capture = profiler.wrap_tick_capture(
                             plan.capture, path
@@ -377,7 +378,9 @@ class Simulator:
         ]
         if self._seq is not None:
             # Fuse the whole schedule into generated capture/commit
-            # sweeps with the engine's stale bookkeeping baked in.
+            # sweeps with the engine's stale bookkeeping inlined; the
+            # per-design slot ranges and engine indices are namespace
+            # names, so one code object serves every design of a shape.
             self._seq_capture, self._seq_commit, self._seq_fusible = (
                 self._seq.compile_driver(
                     self._engine.stale_set, self._engine.component_index

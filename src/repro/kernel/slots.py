@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
+from repro.kernel.codegen import exec_generated
 from repro.kernel.signal import Signal
 
 
@@ -199,9 +200,9 @@ class SeqPlan:
         self.state = tuple(state)
         #: True when the last commit reported no relevant state change.
         self.clean = False
-        #: Watch/state snapshot from the last clean commit (scalar
+        #: Watch/state snapshot from the last clean commit (one-slot
         #: ranges store the bare value, wider ranges a slice — the
-        #: layout the generated driver bakes in).
+        #: layout the generated driver compares against).
         self.snap: list[Any] | None = None
         #: Whether capture ran this cycle (commit pairs with it).
         self.ran = False
@@ -263,21 +264,30 @@ class SeqStore:
     # fused driver (code-generated; the per-cycle hot path)
     # ------------------------------------------------------------------
     def compile_driver(self, stale, engine_index):
-        """Generate the fused (capture_fn, commit_fn) tick driver.
+        """Generate the fused (capture_fn, commit_fn, fusible_fn) tick driver.
 
         Like the compiled settle engine's region fusion, the whole
-        schedule becomes two straight-line functions with per-plan
-        constants baked in:
+        schedule becomes straight-line functions, one block per plan:
 
         * the capture sweep inlines each plan's skip predicate —
           ``clean`` plus watch/state compares against the stored
-          snapshot (scalar ranges compare without slicing) — and calls
+          snapshot (one-slot ranges compare without slicing) — and calls
           ``capture``/``repeat`` directly;
         * the commit sweep inlines the clean/dirty bookkeeping, rebuilds
           the snapshot only when a plan *ends* clean (a dirty plan will
           re-run regardless, so its snapshot is dead), and marks the
-          settle engine's stale set with the component's baked-in index
+          settle engine's stale set with the component's engine index
           instead of going through ``note_state_change``.
+
+        The source names every per-design value instead of printing it:
+        plan ``k``'s ``i``-th watch/state range is ``_a{k}_{i}`` (a
+        ``slice``, or an ``int`` for a one-slot range), its engine index
+        is ``_i{k}``, and its plan object and callables are ``_p{k}``,
+        ``_c{k}``, ``_m{k}`` and ``_r{k}``.  The text thus depends only
+        on the sequence of plan shapes (watch/state range counts, a
+        ``repeat`` hook or not, tracked or not), and designs of one
+        shape share a code object through :mod:`repro.kernel.codegen`;
+        each design runs it in its own namespace.
 
         *stale* is the compiled engine's cross-cycle stale set and
         *engine_index* maps ``id(component)`` to engine indices;
@@ -305,13 +315,10 @@ class SeqStore:
             compares = []
             rebuild = []
             for i, (arr, b, e) in enumerate(segments):
-                snap = f"{p}.snap[{i}]"
-                if e == b + 1:
-                    compares.append(f"{arr}[{b}] == {snap}")
-                    rebuild.append(f"{arr}[{b}]")
-                else:
-                    compares.append(f"{arr}[{b}:{e}] == {snap}")
-                    rebuild.append(f"{arr}[{b}:{e}]")
+                a = f"_a{k}_{i}"
+                ns[a] = b if e == b + 1 else slice(b, e)
+                compares.append(f"{arr}[{a}] == {p}.snap[{i}]")
+                rebuild.append(f"{arr}[{a}]")
             cond = " and ".join(compares) or "True"
             cap_lines += [
                 f"    if {p}.clean:",
@@ -343,7 +350,8 @@ class SeqStore:
             ]
             index = engine_index.get(id(plan.component))
             if index is not None:
-                com_lines.append(f"            _stale.add({index})")
+                ns[f"_i{k}"] = index
+                com_lines.append(f"            _stale.add(_i{k})")
             fus_lines.append(
                 f"        if not ({p}.clean and {cond}): return False"
             )
@@ -352,9 +360,7 @@ class SeqStore:
             "        return False",
             "    return True",
         ]
-        exec("\n".join(cap_lines), ns)  # noqa: S102 - trusted codegen
-        exec("\n".join(com_lines), ns)  # noqa: S102 - trusted codegen
-        exec("\n".join(fus_lines), ns)  # noqa: S102 - trusted codegen
+        exec_generated("\n".join(cap_lines + com_lines + fus_lines), ns)
         return ns["_capture"], ns["_commit"], ns["_fusible"]
 
     # ------------------------------------------------------------------

@@ -34,6 +34,7 @@ import time
 import traceback
 from typing import Any, Sequence
 
+from repro.kernel.codegen import codegen_counts
 from repro.kernel.errors import EnsembleUnsupported
 from repro.obs.trace import NULL_TRACER
 from repro.sweep.registry import get_family
@@ -157,6 +158,7 @@ def _execute(
             if not (lockstep or family.reusable):
                 cache = None
             with tracer.span("build", parent=span) as build_span:
+                codegen_before = codegen_counts()
                 entry = cache.get(cache_key) if cache is not None else None
                 if entry is None:
                     handle = family.build(head.params, engine)
@@ -169,7 +171,12 @@ def _execute(
                     handle, ctx, pristine = entry
                     handle.sim.restore(pristine)
                     design_cache = "hit"
-                build_span.set(design_cache=design_cache)
+                compiled, reused = codegen_counts()
+                build_span.set(
+                    design_cache=design_cache,
+                    codegen_compiled=compiled - codegen_before[0],
+                    codegen_reused=reused - codegen_before[1],
+                )
             sim = getattr(handle, "sim", None)
             with tracer.span("simulate", parent=span):
                 with (

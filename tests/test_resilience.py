@@ -41,6 +41,10 @@ from repro.sweep.report import canonical_report
 from repro.sweep.spec import SpecError, from_dict, make_scenario
 from repro.sweep.store import ResultStore
 
+#: ``serve_forever`` poll interval for test servers: ``shutdown()``
+#: waits up to one interval, and the 0.5 s default dominated teardown.
+POLL_S = 0.01
+
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="pool tests rely on fork inheritance",
@@ -678,7 +682,9 @@ class TestServiceHTTP:
 
         service = JobService(workers=0, max_scenarios_per_job=1)
         server = make_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(POLL_S,), daemon=True
+        )
         thread.start()
         host, port = server.server_address[:2]
         client = ServiceClient(f"http://{host}:{port}", timeout=30.0)
@@ -728,7 +734,7 @@ class TestServiceHTTP:
             server = make_server(service, port=port)
             cleanup.extend([server, service])
             threading.Thread(
-                target=server.serve_forever, daemon=True
+                target=server.serve_forever, args=(POLL_S,), daemon=True
             ).start()
 
         threading.Thread(target=late_start, daemon=True).start()

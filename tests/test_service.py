@@ -26,6 +26,10 @@ from repro.sweep.report import canonical_report
 from repro.sweep.runner import run_campaign
 from repro.sweep.spec import from_dict
 
+#: ``serve_forever`` poll interval for test servers: ``shutdown()``
+#: waits up to one interval, and the 0.5 s default dominated teardown.
+POLL_S = 0.01
+
 CAMPAIGN = {
     "campaign": {"name": "http-test", "seed": 5, "workers": 2},
     "scenarios": [
@@ -61,7 +65,9 @@ def served(service, **client_options):
         return request
 
     server.get_request = counting_accept
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(POLL_S,), daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     options = {"timeout": 30.0, **client_options}
