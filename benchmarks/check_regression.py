@@ -7,7 +7,9 @@ cycles-per-second numbers are machine-dependent, so the gate compares
 the machine-portable *speedup ratios* — ``compiled_speedup`` (compiled
 vs naive) first among them — per workload: a
 workload regresses when a ratio drops more than ``BENCH_TOLERANCE``
-(default 0.25, i.e. >25%) below the baseline.
+(default 0.25, i.e. >25%) below the baseline.  Everything else in the
+JSON — raw cps, the ``_iqr`` noise fields, the top-level ``rewind_us``
+— is context, never gated.
 
 Usage::
 

@@ -35,9 +35,10 @@ channel families:
 
 Any of these may carry ``variants`` — a list of stimulus blocks run
 from a shared branch point: the base stimulus plus ``warmup_cycles``
-are simulated once, a fork snapshot marks the branch, and every variant
-replays from it (:meth:`~repro.kernel.simulator.Simulator.fork`), so
-the warm-up is paid once per design instead of once per variant.
+are simulated once, one snapshot marks the branch, and every variant
+replays from it and is rewound to it
+(:meth:`~repro.kernel.simulator.Simulator.restore`), so the warm-up and
+the snapshot are paid once per scenario instead of once per variant.
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def _run_channel_scenario(
 def _run_variants(
     handle: DesignHandle, scenario: ScenarioSpec, make_item=None
 ) -> dict:
-    """Fork-based variant execution: warm up once, branch per variant."""
+    """Variant execution: warm up once, rewind to one branch point per variant."""
     stimulus = scenario.stimulus
     if make_item is None:
         make_item = _make_item_for(scenario)
@@ -441,8 +442,10 @@ def _run_variants(
     if warmup_cycles:
         handle.sim.run(cycles=warmup_cycles)
     results = []
+    # Every variant starts from this one branch point.
+    point = handle.sim.snapshot()
     for i, variant in enumerate(stimulus["variants"]):
-        with handle.sim.fork():
+        try:
             expected = _push_plan(
                 handle, variant, scenario.seed + i, make_item
             )
@@ -450,6 +453,8 @@ def _run_variants(
             row = _channel_metrics(handle, scenario.metrics)
             row["variant"] = i
             results.append(row)
+        finally:
+            handle.sim.restore(point)
     out = {
         "cycles": handle.sim.cycle,
         "branch_cycle": handle.sim.cycle,

@@ -9,13 +9,15 @@ Two campaign families built on the structural coverage maps of
     push a *burst* of items before the design runs a *gap*-cycle
     window.  The corpus starts from the grid analogue (the ``active``
     stimulus shapes a classic campaign would enumerate), every pattern
-    is evaluated inside :meth:`~repro.kernel.simulator.Simulator.fork`
-    of one warm design, and a mutant joins the corpus iff it reaches a
-    joint structural signature no earlier pattern reached.  Everything
-    is driven by ``random.Random(scenario.seed)``, and the scenario
-    seed is itself derived from the campaign seed + canonical scenario
-    key, so the mutant sequence and the final coverage map are
-    bit-identical across worker counts and settle engines.
+    runs from one branch point of a warm design (one
+    :meth:`~repro.kernel.simulator.Simulator.snapshot` per scenario,
+    restored after every pattern), and a mutant joins the corpus iff
+    it reaches a joint structural signature no earlier pattern
+    reached.  Everything is driven by ``random.Random(scenario.seed)``,
+    and the scenario seed is itself derived from the campaign seed +
+    canonical scenario key, so the mutant sequence and the final
+    coverage map are bit-identical across worker counts and settle
+    engines.
 
 ``fault``
     The defect menagerie of ``tests/test_fault_injection.py`` promoted
@@ -55,7 +57,9 @@ from repro.core import (
     MTVariableLatencyUnit,
 )
 from repro.elastic import ChannelMonitor, ElasticChannel, Sink, Source
-from repro.kernel import Component, ProtocolError, SimulationError, Simulator, build
+from repro.kernel import (
+    Component, ProtocolError, SimSnapshot, SimulationError, Simulator, build,
+)
 from repro.kernel.values import X
 from repro.sweep.coverage import CoverageMap
 from repro.sweep.families import (
@@ -95,7 +99,7 @@ class _StallGate:
 
     ``until`` is an *absolute* cycle: the sink is stalled while the
     simulator's cycle is below it.  Pure function of the cycle counter,
-    so runs stay cycle-identical across engines, and fork rewinds put
+    so runs stay cycle-identical across engines, and rewinds put
     the cycle (and therefore the gate's behavior) right back.
 
     The gate copies by identity: it is runner-side *stimulus*, not
@@ -174,17 +178,18 @@ def mutate_pattern(
 
 
 def _evaluate_pattern(
-    handle: DesignHandle, pattern: Pattern, max_cycles: int
+    handle: DesignHandle, pattern: Pattern, max_cycles: int,
+    point: SimSnapshot,
 ) -> int:
-    """Run one pattern in a fork of the warm design; return cycles spent.
+    """Run one pattern from the branch *point*; return cycles spent.
 
-    The fork rewinds all columnar state on exit, so every pattern sees
-    the identical pristine design; the attached :class:`CoverageMap`
+    The design is rewound to *point* on exit, so every pattern sees the
+    identical pristine design; the attached :class:`CoverageMap`
     deliberately survives the rewind and keeps accumulating.
     """
     sim = handle.sim
     gates = handle.stall_gates
-    with sim.fork():
+    try:
         start = sim.cycle
         base = handle.sink.count
         pushed = 0
@@ -205,9 +210,11 @@ def _evaluate_pattern(
                 max_cycles=max_cycles,
             )
         # Two settled cycles so the post-drain quiescent signature is
-        # observed before the fork rewinds.
+        # observed before the rewind.
         sim.run(cycles=2)
         return sim.cycle - start
+    finally:
+        sim.restore(point)
 
 
 def _build_fuzz(params: Mapping[str, Any], engine: str | None) -> DesignHandle:
@@ -263,11 +270,13 @@ def _run_fuzz(handle: DesignHandle, scenario: ScenarioSpec) -> dict:
 
     rng = random.Random(scenario.seed)
     cov = CoverageMap(handle.sim).attach()
+    # Every pattern starts from this one branch point.
+    point = handle.sim.snapshot()
     cycles = 0
     try:
         corpus: list[Pattern] = seed_corpus(handle.threads, burst, gap)
         for pattern in corpus:
-            cycles += _evaluate_pattern(handle, pattern, max_cycles)
+            cycles += _evaluate_pattern(handle, pattern, max_cycles, point)
         baseline_pct = cov.coverage_pct
         baseline_states = cov.new_states
 
@@ -282,7 +291,7 @@ def _run_fuzz(handle: DesignHandle, scenario: ScenarioSpec) -> dict:
                 parent, rng, handle.threads, max_burst, max_waves
             )
             before = cov.new_states
-            cycles += _evaluate_pattern(handle, mutant, max_cycles)
+            cycles += _evaluate_pattern(handle, mutant, max_cycles, point)
             gained = cov.new_states - before
             ledger.append((mutant, gained))
             if gained:

@@ -160,22 +160,29 @@ def _execute(
             with tracer.span("build", parent=span) as build_span:
                 codegen_before = codegen_counts()
                 entry = cache.get(cache_key) if cache is not None else None
+                rewind_s = 0.0
                 if entry is None:
                     handle = family.build(head.params, engine)
                     ctx = support.lift(handle) if lockstep else None
                     design_cache = "none"
                     if cache is not None:
-                        cache[cache_key] = (handle, ctx, handle.sim.snapshot())
+                        rewind_start = time.perf_counter()
+                        pristine = handle.sim.snapshot()
+                        rewind_s = time.perf_counter() - rewind_start
+                        cache[cache_key] = (handle, ctx, pristine)
                         design_cache = "build"
                 else:
                     handle, ctx, pristine = entry
+                    rewind_start = time.perf_counter()
                     handle.sim.restore(pristine)
+                    rewind_s = time.perf_counter() - rewind_start
                     design_cache = "hit"
                 compiled, reused = codegen_counts()
                 build_span.set(
                     design_cache=design_cache,
                     codegen_compiled=compiled - codegen_before[0],
                     codegen_reused=reused - codegen_before[1],
+                    rewind_s=rewind_s,
                 )
             sim = getattr(handle, "sim", None)
             with tracer.span("simulate", parent=span):

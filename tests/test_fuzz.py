@@ -19,6 +19,7 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -363,3 +364,104 @@ class TestCoverageRegressionGate:
         cur_path.write_text(json.dumps(bad), encoding="utf-8")
         assert gate.main(["x", str(base_path), str(cur_path)]) == 1
         assert gate.main(["x", str(base_path), str(tmp_path / "nope")]) == 2
+
+
+# ----------------------------------------------------------------------
+# one branch point per scenario
+# ----------------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def rewind_counts(monkeypatch):
+    """Count ``Simulator.snapshot`` and ``Simulator.fork`` calls."""
+    from repro.kernel import Simulator
+
+    counts = {"snapshot": 0, "fork": 0}
+    for name in counts:
+        original = getattr(Simulator, name)
+
+        def counted(sim, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(sim)
+
+        monkeypatch.setattr(Simulator, name, counted)
+    return counts
+
+
+def _committed_rows(name):
+    report = json.loads((ROOT / name).read_text(encoding="utf-8"))
+    return report["scenarios"]
+
+
+class TestBranchPoint:
+    def test_fuzz_scenario_snapshots_once_and_matches_committed_rows(
+        self, rewind_counts
+    ):
+        family = get_family("fuzz")
+        rows = [r for r in _committed_rows("BENCH_coverage.json")
+                if r["family"] == "fuzz"]
+        assert rows
+        for row in rows:
+            scenario = dataclasses.replace(
+                make_scenario("fuzz", row["params"], row["stimulus"]),
+                seed=row["seed"],
+            )
+            handle = family.build(scenario.params, None)
+            before = dict(rewind_counts)
+            metrics = family.run(handle, scenario)
+            assert rewind_counts["snapshot"] - before["snapshot"] == 1
+            assert rewind_counts["fork"] == before["fork"]
+            # Rewinding to one point reproduces the fork-per-pattern
+            # results recorded when every pattern took its own snapshot.
+            assert metrics == row["metrics"], row["key"]
+
+    def test_variants_snapshot_once_and_match_fork_per_variant(
+        self, rewind_counts
+    ):
+        from repro.sweep.families import (
+            _channel_metrics,
+            _drive_to_completion,
+            _make_item_for,
+            _push_plan,
+        )
+
+        family = get_family("mt_pipeline")
+        params = {"threads": 2, "n_stages": 2, "meb": "full"}
+        scenario = make_scenario(
+            "mt_pipeline",
+            params=params,
+            stimulus={
+                "kind": "uniform",
+                "base": {"kind": "uniform", "items_per_thread": 4},
+                "warmup_cycles": 10,
+                "variants": [
+                    {"kind": "uniform", "items_per_thread": 2},
+                    {"kind": "active", "active": 1, "items_per_thread": 6},
+                    {"kind": "random", "items_min": 1, "items_max": 5},
+                ],
+            },
+            metrics={"window": "full"},
+        )
+        handle = family.build(params, None)
+        metrics = family.run(handle, scenario)
+        assert rewind_counts == {"snapshot": 1, "fork": 0}
+
+        # The reference: a fresh design, one fork (its own snapshot)
+        # per variant, as variants ran before they shared one point.
+        ref = family.build(params, None)
+        stim = scenario.stimulus
+        make_item = _make_item_for(scenario)
+        _push_plan(ref, stim["base"], scenario.seed, make_item)
+        ref.sim.run(cycles=stim["warmup_cycles"])
+        expected = []
+        for i, variant in enumerate(stim["variants"]):
+            with ref.sim.fork():
+                pushed = _push_plan(ref, variant, scenario.seed + i, make_item)
+                _drive_to_completion(ref, pushed, variant)
+                expected.append(
+                    {**_channel_metrics(ref, scenario.metrics), "variant": i}
+                )
+        assert metrics["variants"] == expected
+        assert metrics["branch_cycle"] == ref.sim.cycle == 10

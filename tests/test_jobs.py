@@ -356,6 +356,42 @@ class TestDesignCacheAffinity:
         for report in reports[1:]:
             assert _metrics_by_key(report) == _metrics_by_key(reports[0])
 
+    def test_build_spans_time_the_rewind(self):
+        from repro.obs.trace import Tracer
+
+        scenario = from_dict(SMALL_CAMPAIGN).scenarios[0]
+        tracer = Tracer()
+        cache: dict = {}
+        for _ in range(2):
+            execute_scenario(scenario, None, cache=cache, tracer=tracer)
+        execute_scenario(scenario, None, cache=None, tracer=tracer)
+        builds = [s["attrs"] for s in tracer.spans() if s["name"] == "build"]
+        assert [b["design_cache"] for b in builds] == ["build", "hit", "none"]
+        # Taking the pristine snapshot, restoring it, and nothing.
+        assert builds[0]["rewind_s"] > 0 and builds[1]["rewind_s"] > 0
+        assert builds[2]["rewind_s"] == 0.0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool tests rely on fork inheritance",
+    )
+    def test_pooled_build_spans_carry_rewind_time(self):
+        # Jobs 1 and 2 build every design once per worker; job 3 hits.
+        with JobService(workers=2) as service:
+            job_ids = [service.submit(SMALL_CAMPAIGN) for _ in range(3)]
+            for job_id in job_ids:
+                service.result(job_id)
+            builds = [
+                span["attrs"]
+                for job_id in job_ids
+                for span in service.trace(job_id)
+                if span["name"] == "build"
+            ]
+        # Worker spans ship back with the rewind time of every build.
+        assert builds and all("worker" in b for b in builds)
+        assert {b["design_cache"] for b in builds} == {"build", "hit"}
+        assert all(b["rewind_s"] > 0 for b in builds)
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="pool tests rely on fork inheritance",

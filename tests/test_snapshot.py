@@ -369,3 +369,180 @@ def test_restore_keeps_callbacks_bound_to_live_design(engine):
             for t in range(cpu.threads)
         )
     assert cpu.decode.fn.__self__ is cpu
+
+
+def test_kernel_gate_ignores_rewind_and_noise_fields():
+    import importlib.util
+    import pathlib
+
+    path = (pathlib.Path(__file__).parent.parent / "benchmarks"
+            / "check_regression.py")
+    spec = importlib.util.spec_from_file_location("check_regression", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    row = {"compiled_speedup": 4.0, "compiled_speedup_iqr": 0.1}
+    baseline = {"workloads": {"w": row}, "rewind_us": 50.0,
+                "rewind_us_iqr": 1.0}
+    slower = {"workloads": {"w": {**row, "compiled_speedup_iqr": 9.0}},
+              "rewind_us": 5000.0, "rewind_us_iqr": 900.0}
+    _lines, regressions = gate.compare(baseline, slower, 0.25)
+    assert regressions == []
+    slower["workloads"]["w"]["compiled_speedup"] = 2.0
+    _lines, regressions = gate.compare(baseline, slower, 0.25)
+    assert len(regressions) == 1
+
+
+# ----------------------------------------------------------------------
+# copy by kind
+# ----------------------------------------------------------------------
+
+def _holder(**state):
+    """A one-component simulator whose component holds *state*."""
+    from repro.kernel import Component, Simulator
+
+    class Holder(Component):
+        def __init__(self):
+            super().__init__("holder")
+            self.out = self.output("out", init=0)
+            for key, value in state.items():
+                setattr(self, key, value)
+
+        def combinational(self):
+            self.out.set(0)
+
+    holder = Holder()
+    sim = Simulator(engine="compiled")
+    sim.add(holder)
+    sim.reset()
+    return sim, holder
+
+
+def test_store_aliases_are_structure():
+    sim, _src, _sink, mebs, mons = make_mt_pipeline(
+        FullMEB, threads=2, items=[list(range(6))] * 2, n_stages=2,
+        engine="compiled",
+    )
+    sim.run(cycles=4)
+    channel = mons[-1].channel
+    channel.valids()  # binds the channel's packed-slot cache
+    seq_values = sim.seq.values
+    assert all(meb._sstore is seq_values for meb in mebs)
+    assert channel._blk_store is sim.store.values
+    snap = sim.snapshot()
+    # The snapshot copies each store once and records no component
+    # attribute that aliases one.
+    stores = (seq_values, sim.store.values)
+    aliased_total = 0
+    for comp, (atoms, flats, helpers, rest) in zip(sim.components,
+                                                   snap._blobs):
+        aliased = {key for key, value in vars(comp).items()
+                   if any(value is store for store in stores)}
+        recorded = {*atoms, *(key for key, _v in (*flats, *helpers, *rest))}
+        assert not aliased & recorded, comp.path
+        aliased_total += len(aliased)
+    assert aliased_total >= len(mebs) + 1
+    sim.run(cycles=10)
+    sim.rebuild()  # a fresh seq store: the old list is dead
+    sim.restore(snap)
+    assert all(meb._sstore is sim.seq.values for meb in mebs)
+    assert channel._blk_store is sim.store.values
+    sim.run(cycles=40)
+    assert len(mons[-1].transfers) == 12
+
+
+class _DeepHooked:
+    copies = 0
+
+    def __init__(self):
+        self.items = [1, 2]
+
+    def __deepcopy__(self, memo):
+        type(self).copies += 1
+        clone = _DeepHooked()
+        clone.items = list(self.items)
+        return clone
+
+
+class _StateHooked:
+    saves = 0
+    loads = 0
+
+    def __init__(self):
+        self.value = 1
+
+    def __getstate__(self):
+        type(self).saves += 1
+        return {"value": self.value}
+
+    def __setstate__(self, state):
+        type(self).loads += 1
+        self.value = state["value"]
+
+
+def test_copy_hooks_still_run():
+    sim, holder = _holder(deep=_DeepHooked(), stated=_StateHooked())
+    deep0, saves0, loads0 = (_DeepHooked.copies, _StateHooked.saves,
+                             _StateHooked.loads)
+    snap = sim.snapshot()
+    assert _DeepHooked.copies == deep0 + 1
+    assert (_StateHooked.saves, _StateHooked.loads) == (saves0 + 1, loads0 + 1)
+    holder.deep.items.append(3)
+    holder.stated.value = 5
+    sim.restore(snap)
+    assert holder.deep.items == [1, 2]
+    assert holder.stated.value == 1
+    assert _DeepHooked.copies == deep0 + 2
+
+
+def test_live_iterator_raises_naming_the_attribute():
+    sim, _holder_comp = _holder(latency=(n for n in range(3)))
+    with pytest.raises(SnapshotError, match=r"holder: attribute 'latency'"):
+        sim.snapshot()
+
+
+def test_atomic_list_restores_in_place_and_snapshot_stays_intact():
+    sim, holder = _holder(log=[1, 2, "x", None])
+    live = holder.log
+    snap = sim.snapshot()
+    live.append(3)
+    sim.restore(snap)
+    assert holder.log is live and live == [1, 2, "x", None]
+    # Writing the snapshot back shares nothing mutable with it.
+    live.append(99)
+    live[0] = -1
+    sim.restore(snap)
+    assert holder.log is live and live == [1, 2, "x", None]
+    # A rebound attribute gets a private copy back, never the snapshot's.
+    holder.log = None
+    sim.restore(snap)
+    holder.log.append(5)
+    sim.restore(snap)
+    assert holder.log == [1, 2, "x", None]
+
+
+def test_enum_members_and_x_round_trip_by_identity():
+    import enum
+
+    from repro.core.arbiter import GrantPolicy
+    from repro.kernel.values import X
+
+    class Phase(enum.Enum):
+        IDLE = 0
+        BUSY = 1
+
+    sim, holder = _holder(
+        policy=GrantPolicy.MASKED, value=X, phase=Phase.IDLE,
+        mixed=[GrantPolicy.UNMASKED, X, Phase.BUSY, (Phase.IDLE, X)],
+    )
+    mixed = holder.mixed
+    snap = sim.snapshot()
+    holder.policy, holder.value, holder.phase = None, 0, Phase.BUSY
+    mixed[:] = []
+    sim.restore(snap)
+    assert holder.policy is GrantPolicy.MASKED
+    assert holder.value is X
+    assert holder.phase is Phase.IDLE
+    assert holder.mixed is mixed
+    assert mixed[0] is GrantPolicy.UNMASKED and mixed[1] is X
+    assert mixed[2] is Phase.BUSY
+    assert mixed[3][0] is Phase.IDLE and mixed[3][1] is X
