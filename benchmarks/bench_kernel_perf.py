@@ -161,24 +161,14 @@ def _run_mt_chain(engine):
     return sim.cycle, elapsed, (sim.cycle, sink.received)
 
 
-#: Times the compiled engine runs the mt_bursty schedule per full-mode
-#: rep.  One schedule is only ~0.02 s of compiled work (most cycles are
-#: fused), too short to time apart from process noise, so the compiled
-#: side repeats it to time ~0.2 s; the gate compares cycles/s, which
-#: repetition leaves alone.
-BURSTY_COMPILED_REPEATS = 1 if SMOKE else 12
-
-
 def _run_mt_bursty(engine):
-    """Bursty traffic with long idle gaps: the fusion showcase.
+    """Idle-heavy traffic: delta-gated ticks vs per-cycle naive.
 
     Each round pushes a burst of items into every thread and then runs a
     fixed window far longer than the drain time, so most cycles are
-    fully quiescent.  The compiled engine batches those via settle+tick
-    fusion; the naive engine pays per cycle.  The compiled engine runs
-    the schedule :data:`BURSTY_COMPILED_REPEATS` times, rewinding the
-    design to its pristine snapshot (untimed) before each repetition,
-    and every repetition must behave alike.
+    idle.  The compiled engine's tick plans skip every component whose
+    watched inputs did not change; the naive engine re-evaluates and
+    dispatches every component every cycle.
     """
     if SMOKE:
         # Long enough that the idle tail dominates even on noisy shared
@@ -189,25 +179,14 @@ def _run_mt_bursty(engine):
     sim, src, sink, _mebs, _mons = make_mt_bursty(
         FullMEB, threads=threads, n_stages=stages, engine=engine,
     )
-    pristine = sim.snapshot()
-    repeats = BURSTY_COMPILED_REPEATS if engine == "compiled" else 1
-    cycles, elapsed, fingerprint = 0, 0.0, None
-    for _ in range(repeats):
-        sim.restore(pristine)
-        start = time.perf_counter()
-        for b in range(bursts):
-            for t in range(threads):
-                for i in range(burst):
-                    src.push(t, (b << 16) | (t << 8) | i)
-            sim.run(cycles=gap)
-        elapsed += time.perf_counter() - start
-        cycles += sim.cycle
-        run = (sim.cycle, list(sink.received))
-        assert fingerprint is None or run == fingerprint, (
-            "mt_bursty: a repeated schedule behaved differently"
-        )
-        fingerprint = run
-    return cycles, elapsed, fingerprint
+    start = time.perf_counter()
+    for b in range(bursts):
+        for t in range(threads):
+            for i in range(burst):
+                src.push(t, (b << 16) | (t << 8) | i)
+        sim.run(cycles=gap)
+    elapsed = time.perf_counter() - start
+    return sim.cycle, elapsed, (sim.cycle, sink.received)
 
 
 def _run_mt_ring(engine):

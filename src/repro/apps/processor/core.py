@@ -53,7 +53,7 @@ from repro.cost.model import (
     shifter_luts,
 )
 from repro.core.mtchannel import one_hot_thread, one_hot_vectors
-from repro.kernel import Component, Simulator, WatchedPredicate
+from repro.kernel import Component, Simulator
 from repro.kernel.errors import SimulationError
 from repro.kernel.slots import SeqPlan
 from repro.kernel.values import X, as_bool, bools, same_value
@@ -706,19 +706,9 @@ class Processor:
         return base
 
     def run(self, max_cycles: int = 50_000) -> RunStats:
-        """Run until every armed thread has halted.
-
-        ``all_halted`` is pure transfer-derived state (alive flags only
-        change when a retirement transfers on ``c_mo``), so the
-        predicate declares its watches and the engine may fuse
-        quiescent stretches instead of stepping them one by one.
-        """
+        """Run until every armed thread has halted."""
         pc_unit = self.pc_unit
-        done = WatchedPredicate(
-            lambda _s: pc_unit.all_halted,
-            watches=(*self.c_mo.valid, *self.c_mo.ready),
-        )
-        self.sim.run(until=done, max_cycles=max_cycles)
+        self.sim.run(until=lambda _s: pc_unit.all_halted, max_cycles=max_cycles)
         return RunStats(cycles=self.sim.cycle, retired=list(self.pc_unit.retired))
 
     def run_cycles(self, cycles: int) -> RunStats:

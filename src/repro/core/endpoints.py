@@ -210,8 +210,8 @@ class MTSource(Component):
 
     def compile_seq(self, seq):
         """Columnar tick plan: slot-level transfer check on re-homed
-        stream positions; idle stretches advance the pattern clock in
-        bulk through ``repeat``.
+        stream positions; skipped idle cycles advance the pattern clock
+        through ``repeat``.
 
         Valid for patterned sources too: the injection gates only act
         through the combinational offer, which the watched valid/data
@@ -265,8 +265,8 @@ class MTSource(Component):
                 self._next = None
             return changed
 
-        def repeat(k, start_cycle) -> None:
-            self._cycle += k
+        def repeat(cycle) -> None:
+            self._cycle += 1
 
         watch = (ready, valid, (data_slot, data_slot + 1))
         return SeqPlan(self, capture, commit, watch, repeat=repeat,
@@ -424,15 +424,11 @@ class MTSink(Component):
                 last[0] = None
             self._next_cycle = cycle + 1
 
-        def repeat(k, start_cycle) -> None:
+        def repeat(cycle) -> None:
             transfer = last[0]
             if transfer is not None:
-                t, data = transfer
-                received.extend(
-                    (c, t, data)
-                    for c in range(start_cycle, start_cycle + k)
-                )
-            self._cycle += k
+                received.append((cycle, *transfer))
+            self._cycle += 1
 
         watch = (valid, ready, (data_slot, data_slot + 1))
         return SeqPlan(self, capture, self.commit, watch, repeat=repeat)

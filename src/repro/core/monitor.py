@@ -151,9 +151,8 @@ class MTMonitor(Component):
 
         The observation is a pure function of the watched channel slots,
         so an unchanged watch set means the previous row repeats — the
-        ``repeat`` hook appends it ``k`` times (with advancing cycle
-        stamps for transfer rows), which is also how settle+tick fusion
-        accounts whole idle stretches in one call.
+        ``repeat`` hook appends it once more (stamped with the current
+        cycle for transfer rows).
         """
         cls = type(self)
         if (cls.capture is not MTMonitor.capture
@@ -200,16 +199,16 @@ class MTMonitor(Component):
                 last[0], last[1], last[2] = active, data, moved
             self._next_cycle = cycle + 1
 
-        def repeat(k, start_cycle) -> None:
+        def repeat(cycle) -> None:
             active, data, moved = last
-            act_thread.extend([active] * k)
-            act_data.extend([data] * k)
-            act_moved.extend([moved] * k)
+            act_thread.append(active)
+            act_data.append(data)
+            act_moved.append(moved)
             if moved:
-                tr_cycle.extend(range(start_cycle, start_cycle + k))
-                tr_thread.extend([active] * k)
-                tr_data.extend([data] * k)
-            self._cycle += k
+                tr_cycle.append(cycle)
+                tr_thread.append(active)
+                tr_data.append(data)
+            self._cycle += 1
 
         watch = (valid, ready, (data_slot, data_slot + 1))
         return SeqPlan(self, capture, self.commit, watch, repeat=repeat)

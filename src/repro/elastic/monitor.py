@@ -102,14 +102,13 @@ class ChannelMonitor(Component):
         self._pending = (self._cycle + 1, stalled_now, data if stalled_now else None)
 
     def compile_seq(self, seq):
-        """Delta-gated tick plan with bulk replay of idle/stall stretches.
+        """Delta-gated tick plan that replays idle/stall cycles.
 
         The observation (including both protocol checks) is a pure
         function of the watched valid/ready/data slots and the stall
         bookkeeping, so an unchanged watch set replays the previous
-        classification: ``repeat`` bumps the stall/idle counters — or
-        extends the transfer list with advancing cycle stamps — ``k``
-        cycles at a time.
+        classification: ``repeat`` bumps the stall/idle counter — or
+        appends a transfer stamped with the current cycle.
         """
         cls = type(self)
         if (cls.capture is not ChannelMonitor.capture
@@ -136,18 +135,15 @@ class ChannelMonitor(Component):
             else:
                 last[0] = "idle"
 
-        def repeat(k, start_cycle) -> None:
+        def repeat(cycle) -> None:
             kind = last[0]
             if kind == "transfer":
-                data = last[1]
-                self.transfers.extend(
-                    (c, data) for c in range(start_cycle, start_cycle + k)
-                )
+                self.transfers.append((cycle, last[1]))
             elif kind == "stall":
-                self.stall_cycles += k
+                self.stall_cycles += 1
             else:
-                self.idle_cycles += k
-            self._cycle += k
+                self.idle_cycles += 1
+            self._cycle += 1
 
         watch = ((vs, vs + 1), (rs, rs + 1), (ds, ds + 1))
         return SeqPlan(self, capture, self.commit, watch, repeat=repeat)

@@ -18,7 +18,6 @@ from repro.kernel.errors import (
     ConvergenceError,
     EnsembleDivergence,
     EnsembleUnsupported,
-    FusionBlockedError,
     KernelError,
     ProtocolError,
     SimulationError,
@@ -41,7 +40,6 @@ __all__ = [
     "EnsembleDivergence",
     "EnsembleSimulator",
     "EnsembleUnsupported",
-    "FusionBlockedError",
     "NaiveEngine",
     "KernelError",
     "POISON",

@@ -400,22 +400,6 @@ class CompiledEngine:
         """``id(component) -> engine index`` for scheduled components."""
         return self._index_by_id
 
-    @property
-    def quiescent(self) -> bool:
-        """True when the next settle provably evaluates nothing.
-
-        Holds when no component is stale (commit reports, invalidation,
-        out-of-settle pokes), nothing is dirty from an aborted settle,
-        and the design has no volatile or opaque components — i.e. a
-        settle would walk the program with every probe clean and change
-        no signal.  The settle half of settle+tick fusion
-        (:meth:`repro.kernel.simulator.Simulator.run` batches whole
-        cycles when this holds and every tick plan would delta-skip).
-        """
-        return not (
-            self._stale or self._dirty or self._volatile or self._opaque
-        )
-
     @staticmethod
     def _net_changed(base: dict[int, tuple[Signal, Any]]) -> list[str]:
         """Names of signals whose value differs from their baseline."""

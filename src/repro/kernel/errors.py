@@ -57,29 +57,6 @@ class SimulationError(KernelError):
     """A generic runtime failure during simulation (bad state, bad value)."""
 
 
-class FusionBlockedError(SimulationError):
-    """A strict watched predicate ran on a design that can never fuse.
-
-    Raised by :meth:`repro.kernel.simulator.Simulator.run` when an
-    ``until`` predicate declared with ``strict=True`` (see
-    :class:`repro.kernel.simulator.WatchedPredicate`) is combined with a
-    configuration that structurally disables idle-stretch fusion:
-    registered observers, a non-compiled engine, ``compile_seq`` turned
-    off, or components whose tick phase is not covered by compiled
-    plans.  The attached ``blockers`` list holds one ``{"kind", "detail"}``
-    dict per reason.
-    """
-
-    def __init__(self, blockers: list[dict]):
-        self.blockers = list(blockers)
-        kinds = ", ".join(b.get("kind", "?") for b in self.blockers)
-        super().__init__(
-            f"run(until=...) idle fusion is structurally blocked ({kinds}); "
-            "drop strict=True to poll cycle-by-cycle, or remove the blockers "
-            "(observers disable fusion entirely)"
-        )
-
-
 class EnsembleUnsupported(KernelError):
     """A design contains a component that is not ensemble-safe.
 

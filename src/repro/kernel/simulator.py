@@ -26,13 +26,10 @@ their registered state into a columnar
 :class:`~repro.kernel.slots.SeqStore` and supply vectorized
 capture/commit steps that are **delta-gated** — a component whose
 watched inputs did not change since its last capture and whose last
-commit reported no state change is skipped outright.  When every plan
-would skip and the settle engine is quiescent, ``run(cycles=...)``
-fuses settle+tick and batches whole cycles without re-entering
-per-component dispatch.  Components without a plan keep the legacy
-per-cycle dispatch transparently; ``compile_seq`` can be force-disabled
-with ``REPRO_SIM_SEQ=0`` (or ``Simulator(compile_seq=False)``) for
-differential testing.
+commit reported no state change is skipped outright.  Components
+without a plan keep the legacy per-cycle dispatch transparently;
+``compile_seq`` can be force-disabled with ``REPRO_SIM_SEQ=0`` (or
+``Simulator(compile_seq=False)``) for differential testing.
 
 *How* the settle phase reaches its fixed point is delegated to a settle
 engine (:mod:`repro.kernel.engine`), chosen per simulator:
@@ -83,7 +80,7 @@ from repro.kernel.ensemble import (
 from repro.kernel.ensemble import (
     lift_simulator as lift_simulator,
 )
-from repro.kernel.errors import FusionBlockedError, SimulationError
+from repro.kernel.errors import SimulationError
 from repro.kernel.signal import Signal
 from repro.kernel.slots import SeqStore, SlotStore
 from repro.kernel.snapshot import (
@@ -95,68 +92,25 @@ from repro.kernel.snapshot import (
 
 
 class WatchedPredicate:
-    """An ``until`` predicate with a declared-watch contract.
+    """A plain ``until`` predicate that also names the signals it watches.
 
-    ``run(until=...)`` polls its predicate every cycle, which forces the
-    simulator to step cycle-by-cycle even when the design is fully
-    quiescent — a deadlocked (or slowly draining) elastic network pays
-    full per-cycle dispatch just to keep observing the same False.
-    Wrapping the predicate in a ``WatchedPredicate`` declares a contract
-    that lets ``run`` batch those idle stretches through the same
-    ``_fuse_quiescent`` fast path ``run(cycles=...)`` already uses:
-
-    **the predicate's value is a pure function of the declared watch
-    signals and of transfer-derived component state** (counts, received
-    logs) — never of ``sim.cycle`` or wall-clock side state.
-
-    Fusion only ever fires when the design is provably quiescent: no
-    signal is changing *and* no compiled tick plan advances any state
-    (an in-flight transfer keeps its endpoints' plans non-skippable).
-    Under that precondition neither watched signals nor transfer-derived
-    state can change, so a predicate honouring the contract stays False
-    across the whole fused stretch and the observable behaviour is
-    bit-identical to the unfused run (differential-tested).
-
-    Parameters
-    ----------
-    fn:
-        The underlying predicate, called with the simulator.
-    watches:
-        The signals the predicate's value depends on (informational for
-        diagnostics/``watch_slots``; fusion relies on the quiescence
-        precondition, which freezes *all* signals).
-    strict:
-        When True, ``run(until=...)`` raises
-        :class:`~repro.kernel.errors.FusionBlockedError` up front if the
-        configuration can never fuse (observers registered, non-compiled
-        engine, ``compile_seq`` off, unplanned tick components) instead
-        of silently degrading to cycle-by-cycle polling.
+    Calling it calls *fn* with the simulator; ``run(until=...)`` treats
+    it like any other callable and polls it every cycle.  The class is
+    kept only because the benchmark workload ``perfbench/kernel_long.py``
+    constructs ``repro.kernel.WatchedPredicate(fn, watches=...)``;
+    delete it when perfbench is next re-cut.
     """
 
     def __init__(
         self,
         fn: Callable[["Simulator"], bool],
         watches: Any = (),
-        strict: bool = False,
     ):
-        self._fn = fn
-        self._watches = tuple(watches)
-        self.strict = bool(strict)
-
-    def watch_slots(self) -> tuple:
-        """Declared watch signals (resolved to slots where available)."""
-        return tuple(
-            getattr(sig, "slot", sig) for sig in self._watches
-        )
+        self.fn = fn
+        self.watches = tuple(watches)
 
     def __call__(self, sim: "Simulator") -> bool:
-        return bool(self._fn(sim))
-
-    def __repr__(self) -> str:
-        return (
-            f"<WatchedPredicate fn={self._fn!r} "
-            f"watches={len(self._watches)} strict={self.strict}>"
-        )
+        return bool(self.fn(sim))
 
 
 class Simulator:
@@ -177,17 +131,16 @@ class Simulator:
     compile_seq:
         Whether the compiled engine also compiles the tick phase
         (:class:`~repro.kernel.slots.SeqStore` plans with delta-gated
-        capture and settle+tick fusion).  ``None`` reads the
-        ``REPRO_SIM_SEQ`` environment variable (default on); has no
-        effect under the naive engine, whose tick is always the
-        legacy per-component dispatch.
+        capture).  ``None`` reads the ``REPRO_SIM_SEQ`` environment
+        variable (default on); has no effect under the naive engine,
+        whose tick is always the legacy per-component dispatch.
     profile:
         ``True`` attaches a fresh
         :class:`~repro.obs.profile.KernelProfiler` (available as
         ``sim.profiler``); an existing profiler instance attaches that
         one.  Profiling hooks are *compiled into* the engine and tick
-        plans rather than registered as observers, so settle+tick
-        fusion stays enabled and reports stay bit-identical; see
+        plans rather than registered as observers, and reports stay
+        bit-identical; see
         :meth:`profile` for scoped use and ``docs/observability.md``
         for the contract.
     """
@@ -222,8 +175,6 @@ class Simulator:
         self._seq: SeqStore | None = None
         self._seq_capture: Callable[[int], None] | None = None
         self._seq_commit: Callable[[], None] | None = None
-        self._seq_fusible: Callable[[], bool] | None = None
-        self._seq_covers_ticks = False
         self._snapshot_hooks: list[
             tuple[Callable[[], Any], Callable[[Any], None]]
         ] = []
@@ -254,9 +205,9 @@ class Simulator:
         Observers are not part of snapshots, so a caller that attaches
         one for a bounded window (the coverage maps of
         :mod:`repro.sweep.coverage`) must detach it explicitly — a
-        leftover observer keeps settle+tick fusion disabled and keeps
-        firing across later snapshot rewinds.  Removing a function that
-        is not registered is a no-op.
+        leftover observer keeps firing every cycle, across later
+        snapshot rewinds too.  Removing a function that is not
+        registered is a no-op.
         """
         try:
             self._observers.remove(fn)
@@ -381,21 +332,11 @@ class Simulator:
             # sweeps with the engine's stale bookkeeping inlined; the
             # per-design slot ranges and engine indices are namespace
             # names, so one code object serves every design of a shape.
-            self._seq_capture, self._seq_commit, self._seq_fusible = (
-                self._seq.compile_driver(
-                    self._engine.stale_set, self._engine.component_index
-                )
+            self._seq_capture, self._seq_commit = self._seq.compile_driver(
+                self._engine.stale_set, self._engine.component_index
             )
         else:
             self._seq_capture = self._seq_commit = None
-            self._seq_fusible = None
-        # Fusion needs the *whole* tick expressible through plans.
-        self._seq_covers_ticks = (
-            self._seq is not None
-            and not self._captures
-            and not self._noted_commits
-            and not self._plain_commits
-        )
         if profiler is not None:
             profiler.instrument_engine(self._engine)
 
@@ -412,9 +353,8 @@ class Simulator:
 
         This is explicitly **not** an observer registration: the engine
         and tick plans are rebuilt with timing closures compiled in, so
-        settle+tick fusion stays eligible and the run's observable
-        behaviour is bit-identical (everything is marked stale, and the
-        re-derived fixed point is the same one).  Returns the profiler.
+        the run's observable behaviour is bit-identical (everything is
+        marked stale, and the re-derived fixed point is the same one).  Returns the profiler.
         """
         if profiler is None:
             from repro.obs.profile import KernelProfiler
@@ -607,69 +547,6 @@ class Simulator:
             seq_commit()
         self.cycle = cycle + 1
 
-    def _fuse_quiescent(self, budget: int) -> int:
-        """Batch up to *budget* fully quiescent cycles in one step.
-
-        Eligible only when the settled design provably reproduces itself
-        cycle-over-cycle: the compiled settle engine is quiescent
-        (nothing stale/dirty, no volatile or opaque components), every
-        tick-phase component runs through a plan, every plan would
-        delta-skip, and no observers sample per cycle.  Per-cycle
-        effects that survive skipping (monitor rows, endpoint cycle
-        counters) are applied in bulk through the plans' ``repeat``
-        hooks.  Returns the number of cycles fused (0 when ineligible).
-        """
-        if budget <= 0 or self._observers or not self._seq_covers_ticks:
-            return 0
-        if not getattr(self._engine, "quiescent", False):
-            return 0
-        if not self._seq_fusible():
-            return 0
-        self._seq.fast_forward(budget, self.cycle)
-        self.cycle += budget
-        return budget
-
-    def fusion_blockers(self) -> list[dict]:
-        """Structural reasons why idle-stretch fusion can never fire.
-
-        Returns one ``{"kind", "detail"}`` dict per reason: registered
-        observers (**any** observer — e.g. the coverage maps of
-        :mod:`repro.sweep.coverage` — disables fusion and therefore idle
-        batching outright), a non-compiled settle engine, ``compile_seq``
-        disabled, or tick-phase components not covered by compiled plans.
-        An empty list means fusion is structurally possible (it still
-        only fires on provably quiescent cycles).
-        """
-        self._finalize()
-        blockers: list[dict] = []
-        for fn in self._observers:
-            name = getattr(fn, "__qualname__", None) or repr(fn)
-            blockers.append({"kind": "observer", "detail": name})
-        if self.engine_name != "compiled":
-            blockers.append(
-                {"kind": "engine", "detail": f"engine={self.engine_name!r}"}
-            )
-        if not self.seq_enabled:
-            blockers.append(
-                {"kind": "compile_seq", "detail": "compile_seq disabled"}
-            )
-        elif not self._seq_covers_ticks and self.engine_name == "compiled":
-            unplanned = sorted(
-                {
-                    c.__self__.path
-                    for c in self._captures
-                }
-                | {c.path for c, _fn in self._noted_commits}
-                | {c.__self__.path for c in self._plain_commits}
-            )
-            blockers.append(
-                {
-                    "kind": "unplanned-components",
-                    "detail": ", ".join(unplanned) or "no compiled tick plans",
-                }
-            )
-        return blockers
-
     def step(self) -> None:
         """Advance the simulation by one clock cycle."""
         self.settle()
@@ -708,36 +585,16 @@ class Simulator:
         tick = self._tick
         if cycles is not None:
             while executed < cycles:
-                fused = self._fuse_quiescent(cycles - executed)
-                if fused:
-                    executed += fused
-                    continue
                 self._engine.settle(self.cycle)
                 tick()
                 executed += 1
             return executed
-        if until is None:  # unreachable: the exclusivity check above
-            raise SimulationError("run() requires exactly one of cycles/until")
-        watched = isinstance(until, WatchedPredicate)
-        if watched and until.strict:
-            blockers = self.fusion_blockers()
-            if blockers:
-                raise FusionBlockedError(blockers)
         while executed < max_cycles:
             self._engine.settle(self.cycle)
             if until(self):
                 return executed
             tick()
             executed += 1
-            if watched:
-                # A fully quiescent design stays quiescent for the rest
-                # of this call (nothing can change without out-of-band
-                # input), and the declared-watch contract freezes the
-                # predicate with it — so the whole remaining budget can
-                # be batched in one step.  Ends either at the budget
-                # (deadlock diagnosis below, same cycle count as the
-                # unfused run) or not at all (ineligible -> poll on).
-                executed += self._fuse_quiescent(max_cycles - executed)
         raise SimulationError(
             f"'until' predicate not satisfied within {max_cycles} cycles "
             f"(possible deadlock)"

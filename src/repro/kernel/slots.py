@@ -168,13 +168,12 @@ class SeqPlan:
         replacement for per-component idle early-outs.
 
     ``repeat``
-        Optional ``fn(k, start_cycle) -> None`` for components with an
+        Optional ``fn(cycle) -> None`` for components with an
         unconditional per-cycle effect (monitors appending activity
         rows, endpoints advancing local cycle counters).  When the plan
-        would otherwise skip, ``repeat(1, cycle)`` replays the last
-        observation instead; settle+tick fusion calls it with ``k > 1``
-        to batch whole quiescent stretches.  ``None`` means skipping has
-        no observable effect at all (pure register components).
+        skips, ``repeat(cycle)`` replays the last observation for this
+        one cycle instead.  ``None`` means skipping has no observable
+        effect at all (pure register components).
 
     ``state``
         Seq-store ranges ``((base, end), ...)`` of the component's own
@@ -224,11 +223,7 @@ class SeqStore:
     Scheduling is **delta-driven**: a plan whose watch slices are
     unchanged since its last capture and whose last commit reported no
     state change is skipped outright (or handed to its ``repeat`` hook
-    when it has an unconditional per-cycle effect).  The same predicate,
-    asked over every plan at once (the generated ``_fusible`` sweep), is
-    the tick half of settle+tick fusion: when it holds and the settle
-    engine is quiescent, :meth:`fast_forward` batches an arbitrary
-    number of cycles without re-entering per-component dispatch.
+    when it has an unconditional per-cycle effect).
 
     Component state is migrated exactly like signal values: a component
     keeps its state behind a private ``(_sstore, _sbase)``-style pair
@@ -264,7 +259,7 @@ class SeqStore:
     # fused driver (code-generated; the per-cycle hot path)
     # ------------------------------------------------------------------
     def compile_driver(self, stale, engine_index):
-        """Generate the fused (capture_fn, commit_fn, fusible_fn) tick driver.
+        """Generate the fused ``(capture_fn, commit_fn)`` tick driver.
 
         Like the compiled settle engine's region fusion, the whole
         schedule becomes straight-line functions, one block per plan:
@@ -302,7 +297,6 @@ class SeqStore:
         }
         cap_lines = ["def _capture(cycle):"]
         com_lines = ["def _commit():"]
-        fus_lines = ["def _fusible():", "    try:"]
         for k, plan in enumerate(self.plans):
             p, c, m = f"_p{k}", f"_c{k}", f"_m{k}"
             ns[p] = plan
@@ -334,7 +328,7 @@ class SeqStore:
             if plan.repeat is not None:
                 r = f"_r{k}"
                 ns[r] = plan.repeat
-                cap_lines.append(f"        {r}(1, cycle)")
+                cap_lines.append(f"        {r}(cycle)")
             cap_lines += [
                 "    else:",
                 f"        {c}(cycle)",
@@ -352,23 +346,5 @@ class SeqStore:
             if index is not None:
                 ns[f"_i{k}"] = index
                 com_lines.append(f"            _stale.add(_i{k})")
-            fus_lines.append(
-                f"        if not ({p}.clean and {cond}): return False"
-            )
-        fus_lines += [
-            "    except Exception:",
-            "        return False",
-            "    return True",
-        ]
-        exec_generated("\n".join(cap_lines + com_lines + fus_lines), ns)
-        return ns["_capture"], ns["_commit"], ns["_fusible"]
-
-    # ------------------------------------------------------------------
-    # settle+tick fusion
-    # ------------------------------------------------------------------
-    def fast_forward(self, k: int, start_cycle: int) -> None:
-        """Apply *k* quiescent cycles' worth of per-cycle effects at once."""
-        for plan in self.plans:
-            repeat = plan.repeat
-            if repeat is not None:
-                repeat(k, start_cycle)
+        exec_generated("\n".join(cap_lines + com_lines), ns)
+        return ns["_capture"], ns["_commit"]

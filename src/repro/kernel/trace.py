@@ -47,11 +47,9 @@ class TraceRecorder:
         """Stop sampling: deregister this recorder's observer from *sim*.
 
         The inverse of :meth:`attach`.  Captured samples are kept.  A
-        registered observer is what disables settle+tick fusion, so a
-        bounded capture window should always end with a ``detach`` —
-        afterwards the simulator can batch quiescent stretches again
-        (see :meth:`Simulator.fusion_blockers`).  Detaching a recorder
-        that is not attached is a no-op.
+        registered observer runs every cycle, so a bounded capture
+        window should always end with a ``detach``.  Detaching a
+        recorder that is not attached is a no-op.
         """
         sim.remove_observer(self._observe)
         return self

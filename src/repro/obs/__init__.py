@@ -7,8 +7,7 @@ cost when off, no behavioural impact when on:
     :class:`KernelProfiler` — per-component / per-region / per-phase
     wall-time attribution for a :class:`~repro.kernel.simulator.Simulator`.
     Attaches by recompiling the engine with timing wrappers (never by
-    registering an observer, so settle+tick fusion stays enabled) and
-    detaches by recompiling them back out.
+    registering an observer) and detaches by recompiling them back out.
 
 ``repro.obs.trace``
     :class:`Tracer` / :class:`Span` — hierarchical spans

@@ -1,18 +1,16 @@
 """Kernel profiler: wall-time attribution without breaking the fast path.
 
 :class:`KernelProfiler` attributes wall-time and invocation counts per
-component, per compiled region, and per phase (settle vs tick vs fused
-batch), plus engine counters (settle iterations, dirty-set seed sizes,
-fusion utilization, ensemble lane occupancy) for one
-:class:`~repro.kernel.simulator.Simulator`.
+component, per compiled region, and per phase (settle vs tick), plus
+engine counters (settle iterations, dirty-set seed sizes, ensemble lane
+occupancy) for one :class:`~repro.kernel.simulator.Simulator`.
 
 The contract (differentially tested in ``tests/test_obs.py``):
 
-* **Not an observer.**  Attaching never calls ``add_observer`` — any
-  observer disables settle+tick fusion, which would make the profiled
-  run take a different code path from the run being diagnosed.  Instead
-  the simulator *recompiles* its engine and tick plans with timing
-  wrappers baked in (``Simulator.attach_profiler`` ->
+* **Not an observer.**  Attaching never calls ``add_observer``, which
+  would add a per-cycle call the run being diagnosed does not make.
+  Instead the simulator *recompiles* its engine and tick plans with
+  timing wrappers baked in (``Simulator.attach_profiler`` ->
   ``_build_engine``), and recompiles them back out on detach.
 * **Bit-identical reports.**  The wrappers time and count; they never
   reorder, skip, or add evaluations, so settled values, cycle counts
@@ -56,14 +54,11 @@ class KernelProfiler:
         self._phase = {
             "settle": [0.0, 0],
             "tick": [0.0, 0],
-            "fused": [0.0, 0],
         }
         self.settle_iterations = 0
         self.dirty_seeded = 0
         self.dirty_max = 0
         self.cycles_ticked = 0
-        self.cycles_fused = 0
-        self.fused_batches = 0
         self._regions: list[dict] = []
         self._ensemble = {"batches": 0, "lanes": 0, "lanes_live": 0}
 
@@ -114,12 +109,6 @@ class KernelProfiler:
                 cell[0] += perf() - t0
                 cell[1] += 1
 
-        # Diagnostics (Simulator.fusion_blockers) recover the owning
-        # component from bound tick methods; keep that working when the
-        # list holds timing wrappers instead.
-        bound = getattr(fn, "__self__", None)
-        if bound is not None:
-            timed.__self__ = bound
         return timed
 
     # ------------------------------------------------------------------
@@ -174,12 +163,9 @@ class KernelProfiler:
         engine.settle = timed_settle
 
     def instrument_sim(self, sim) -> None:
-        """Shadow ``sim._tick`` / ``sim._fuse_quiescent`` with timed calls."""
-        cls = type(sim)
-        orig_tick = cls._tick
-        orig_fuse = cls._fuse_quiescent
+        """Shadow ``sim._tick`` with a timed call."""
+        orig_tick = type(sim)._tick
         tick_phase = self._phase["tick"]
-        fused_phase = self._phase["fused"]
         perf = perf_counter
 
         def timed_tick() -> None:
@@ -191,23 +177,11 @@ class KernelProfiler:
                 tick_phase[1] += 1
             self.cycles_ticked += 1
 
-        def timed_fuse(budget: int) -> int:
-            t0 = perf()
-            fused = orig_fuse(sim, budget)
-            if fused:
-                fused_phase[0] += perf() - t0
-                fused_phase[1] += 1
-                self.cycles_fused += fused
-                self.fused_batches += 1
-            return fused
-
         sim.__dict__["_tick"] = timed_tick
-        sim.__dict__["_fuse_quiescent"] = timed_fuse
 
     def release_sim(self, sim) -> None:
-        """Remove the instance-attribute shadows placed by instrument_sim."""
+        """Remove the instance-attribute shadow placed by instrument_sim."""
         sim.__dict__.pop("_tick", None)
-        sim.__dict__.pop("_fuse_quiescent", None)
 
     # ------------------------------------------------------------------
     # extra data points
@@ -228,7 +202,6 @@ class KernelProfiler:
         ``top`` caps the component hot-list length (None = all), sorted
         by total attributed time descending.
         """
-        total_cycles = self.cycles_ticked + self.cycles_fused
         components = []
         for path in sorted(set(self._comb) | set(self._tick)):
             comb = self._comb.get(path, (0.0, 0))
@@ -264,16 +237,13 @@ class KernelProfiler:
         ens = self._ensemble
         report = {
             "engine": self.engine_name,
+            # Every cycle is ticked.  "fused" is always 0 and is kept
+            # only because the perfbench workloads read cycles.fused;
+            # drop it when perfbench is next re-cut.
             "cycles": {
-                "total": total_cycles,
+                "total": self.cycles_ticked,
                 "ticked": self.cycles_ticked,
-                "fused": self.cycles_fused,
-                "fused_batches": self.fused_batches,
-                "fusion_utilization": (
-                    round(self.cycles_fused / total_cycles, 6)
-                    if total_cycles
-                    else 0.0
-                ),
+                "fused": 0,
             },
             "phases": {
                 name: {"time_s": round(cell[0], 6), "calls": cell[1]}

@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
                             "either way)")
     p_run.add_argument("--profile", action="store_true",
                        help="attach the kernel profiler per scenario and "
-                            "fold a hot-component/fusion summary into the "
+                            "fold a hot-component/phase summary into the "
                             "markdown report (metrics are bit-identical "
                             "with or without)")
     p_run.add_argument("--follow", action="store_true",

@@ -26,9 +26,8 @@ Because every one of these blocks is slot-backed (re-homed into the
 private list otherwise — read through the same ``(_sstore, _sq)``
 indirection either way), observation is a handful of list reads per
 cycle, not per-component introspection.  A :class:`CoverageMap`
-registers as a simulator observer (fired after every settle phase;
-observers disable settle+tick fusion, which is semantics-preserving —
-the engines stay cycle-identical) and accumulates:
+registers as a simulator observer (fired after every settle phase) and
+accumulates:
 
 * **local coverage** — per component, the set of signatures seen, with
   the enumerable space above as denominator (:attr:`coverage_pct`);
@@ -198,7 +197,7 @@ class CoverageMap:
         return self
 
     def detach(self) -> None:
-        """Stop observing (re-enables settle+tick fusion for the sim)."""
+        """Stop observing: deregister this map's observer from the sim."""
         if self._attached:
             self._sim.remove_observer(self.observe)
             self._attached = False

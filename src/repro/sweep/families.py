@@ -30,8 +30,7 @@ channel families:
 * ``random`` — per-thread item counts drawn from
   ``[items_min, items_max]`` with the scenario's deterministic seed.
 * ``bursty`` — ``bursts`` rounds of ``burst`` items per thread, each
-  followed by a fixed ``gap``-cycle window (the settle+tick fusion
-  shape).
+  followed by a fixed ``gap``-cycle idle window.
 
 Any of these may carry ``variants`` — a list of stimulus blocks run
 from a shared branch point: the base stimulus plus ``warmup_cycles``
@@ -70,7 +69,6 @@ from repro.cost.model import AreaModel, TimingModel
 from repro.elastic.endpoints import Pattern
 from repro.kernel import Component, Simulator, build
 from repro.kernel.ensemble import EnsembleContext, lift_simulator
-from repro.kernel.simulator import WatchedPredicate
 from repro.sweep.registry import EnsembleSupport, Family, register_family
 from repro.sweep.spec import ScenarioSpec
 
@@ -120,10 +118,10 @@ def make_mt_bursty(
     Built like :func:`make_mt_pipeline` (monitors included) but with
     empty source streams: the caller pushes a burst of items per thread,
     runs a fixed-length window (``sim.run(cycles=gap)``), and repeats.
-    Once a burst drains, the design is fully quiescent for the rest of
-    the window — the workload shape the compiled engine's settle+tick
-    fusion batches, while an unfused run still pays per-cycle
-    scheduling and the full tick dispatch.
+    Once a burst drains, the design is idle for the rest of the window:
+    idle-heavy traffic, where the compiled engine's delta-gated ticks
+    skip every plan whose inputs did not change while the naive engine
+    still re-evaluates and dispatches every component each cycle.
     """
     items = [[] for _ in range(threads)]
     return make_mt_pipeline(
@@ -384,16 +382,7 @@ def _drive_to_completion(
     max_cycles = int(stimulus.get("max_cycles", 50_000))
     sink = handle.sink
     target = base + expected
-    # The declared-watch contract lets the simulator batch fully
-    # quiescent stretches: a deadlocked scenario reaches its max_cycles
-    # diagnosis in one fused step instead of polling every cycle.
-    handle.sim.run(
-        until=WatchedPredicate(
-            lambda _s: sink.count >= target,
-            watches=(*sink.channel.valid, *sink.channel.ready),
-        ),
-        max_cycles=max_cycles,
-    )
+    handle.sim.run(until=lambda _s: sink.count >= target, max_cycles=max_cycles)
 
 
 def _run_channel_scenario(
@@ -774,8 +763,8 @@ def _run_processor(cpu, scenario: ScenarioSpec) -> dict:
     * ``bursty`` — ``bursts`` program phases: each phase loads one
       program per thread from the named ``programs`` set (rotated per
       phase), runs to completion, then idles a fixed ``gap``-cycle
-      window — the settle+tick fusion shape, now reachable because the
-      whole pipeline runs through compiled tick plans.
+      window, in which the halted pipeline's compiled tick plans
+      delta-skip.
     * ``random`` — per-thread program choice drawn from ``programs``
       with the scenario's deterministic seed.
 
@@ -852,8 +841,6 @@ def _run_processor(cpu, scenario: ScenarioSpec) -> dict:
                 ],
             })
             if gap:
-                # Fully halted: the idle window is one fused batch under
-                # the compiled engine.
                 cpu.run_cycles(gap)
         stats = cpu.run_cycles(0)
         out = {

@@ -145,7 +145,7 @@ def mutate_pattern(
     i = rng.randrange(len(waves))
     if op == 0:
         # Flip one thread in the wave's mask (mask 0 is legal: a pure
-        # idle wave, the settle+tick-fusion shape).
+        # idle wave).
         waves[i][0] ^= 1 << rng.randrange(threads)
     elif op == 1:
         waves[i][1] = max(1, min(max_burst, waves[i][1] + rng.choice((-1, 1))))
@@ -326,8 +326,7 @@ class DroppingMEB(FullMEB):
     """Silently discards accepted items once armed.
 
     From the ``fire_at``-th accepted item on, every ``period``-th item
-    is dropped: the capture pretends to accept but masks the enqueue,
-    exactly like the ad-hoc test component this generalizes.
+    is dropped: the capture pretends to accept but masks the enqueue.
     """
 
     def __init__(self, *args, fire_at: int = 3, period: int = 3, **kwargs):

@@ -221,13 +221,11 @@ def _render_profile(rows: Sequence[Mapping[str, Any]]) -> str:
     if not profiled:
         return ""
     comp: dict[str, list] = {}
-    cycles_total = cycles_fused = 0
+    cycles_total = 0
     phase_s: dict[str, float] = {}
     for row in profiled:
         prof = row["profile"]
-        cycles = prof.get("cycles", {})
-        cycles_total += int(cycles.get("total", 0))
-        cycles_fused += int(cycles.get("fused", 0))
+        cycles_total += int(prof.get("cycles", {}).get("total", 0))
         for name, cell in prof.get("phases", {}).items():
             phase_s[name] = phase_s.get(name, 0.0) + float(
                 cell.get("time_s", 0.0)
@@ -239,13 +237,12 @@ def _render_profile(rows: Sequence[Mapping[str, Any]]) -> str:
             cell[2] += int(entry.get("settle_calls", 0))
     out = io.StringIO()
     out.write("## Profile\n\n")
-    util = cycles_fused / cycles_total if cycles_total else 0.0
     phases = " · ".join(
         f"{name} {seconds:.3f}s" for name, seconds in sorted(phase_s.items())
     )
     out.write(
         f"{len(profiled)} profiled scenario(s) · {cycles_total} cycles · "
-        f"fusion utilization {util:.1%} · {phases}\n\n"
+        f"{phases}\n\n"
     )
     out.write("| component | settle s | tick s | total s | settle calls |\n")
     out.write("|---|---|---|---|---|\n")

@@ -106,11 +106,14 @@ class TestSharedShapes:
         compile_source.cache_clear()
         driver_for([plan(state=((0, 1),))])
         before = misses()
-        capture, commit, fusible = driver_for([plan(state=((2, 6),))])
+        wide = plan(state=((2, 6),))
+        capture, commit = driver_for([wide])
         assert misses() == before
         capture(0)
         commit()
-        assert fusible()
+        assert wide.clean
+        capture(1)  # the wide range compares equal: the plan skips
+        assert not wide.ran
 
     @pytest.mark.parametrize("variant", ["repeat", "tracked"])
     def test_plan_shape_change_misses(self, variant):
@@ -120,7 +123,7 @@ class TestSharedShapes:
         driver_for([plan(), plan()])
         assert misses() == before
         if variant == "repeat":
-            driver_for([plan(), plan(repeat=lambda k, start: None)])
+            driver_for([plan(), plan(repeat=lambda cycle: None)])
         else:
             plans = [plan(), plan()]
             driver_for(plans, tracked=plans[1:])
@@ -133,7 +136,7 @@ class TestSharedShapes:
         seq.plans.extend(plans)
         plans[1].commit = lambda: True  # ends dirty: marks the engine
         stale: set[int] = set()
-        capture, commit, _fusible = seq.compile_driver(
+        capture, commit = seq.compile_driver(
             stale, {id(plans[1].component): 7}
         )
         capture(0)

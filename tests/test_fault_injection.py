@@ -9,6 +9,8 @@ invariant) flags it.  If any of these tests fails, the green suite means
 nothing.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.analysis import check_token_conservation
@@ -16,40 +18,12 @@ from repro.core import FullMEB, MTChannel, MTMonitor, MTSink, MTSource, ReducedM
 from repro.elastic import ChannelMonitor, ElasticBuffer, ElasticChannel, Sink, Source
 from repro.kernel import ProtocolError, SimulationError, build
 from repro.kernel.values import X
+from repro.sweep.fuzz import DroppingMEB, DuplicatingMEB
 
-
-class DroppingMEB(FullMEB):
-    """Silently discards every third accepted item."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._accept_count = 0
-
-    def capture(self):
-        enq = self._input_thread()
-        if enq is not None:
-            self._accept_count += 1
-            if self._accept_count % 3 == 0:
-                # Pretend to accept but drop: run the normal capture with
-                # the input masked out.
-                transferred = self._output_transferred()
-                queues = [list(q) for q in self._queues]
-                if transferred:
-                    queues[self._grant].pop(0)
-                self._next_queues = queues
-                self.arbiter.note(self._grant, transferred)
-                return
-        super().capture()
-
-
-class DuplicatingMEB(FullMEB):
-    """Enqueues every item twice."""
-
-    def capture(self):
-        super().capture()
-        enq = self._input_thread()
-        if enq is not None and self._next_queues is not None:
-            self._next_queues[enq].append(self.up.data.value)
+#: Silently discards every third accepted item.
+DropEveryThird = partial(DroppingMEB, fire_at=3, period=3)
+#: Enqueues every accepted item twice.
+DuplicateEvery = partial(DuplicatingMEB, fire_at=1, period=1)
 
 
 class FlakyProducer(Source):
@@ -87,7 +61,7 @@ def mt_pipeline(meb_cls, items):
 class TestTokenLossDetected:
     def test_dropping_meb_fails_conservation(self):
         sim, _sink, mon_in, mon_out = mt_pipeline(
-            DroppingMEB, [[1, 2, 3, 4, 5], [6, 7, 8]]
+            DropEveryThird, [[1, 2, 3, 4, 5], [6, 7, 8]]
         )
         sim.run(cycles=40)
         report = check_token_conservation(mon_in, mon_out)
@@ -105,7 +79,7 @@ class TestTokenLossDetected:
 class TestDuplicationDetected:
     def test_duplicating_meb_fails_conservation(self):
         sim, _sink, mon_in, mon_out = mt_pipeline(
-            DuplicatingMEB, [[1, 2], [3]]
+            DuplicateEvery, [[1, 2], [3]]
         )
         sim.run(cycles=40)
         report = check_token_conservation(mon_in, mon_out)

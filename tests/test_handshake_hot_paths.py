@@ -241,7 +241,10 @@ class TestXInTickCaptures:
     def _assert_planned_and_raises(factory):
         with engine_context("compiled") as engine:
             sim, _ = factory(engine)
-        assert sim.fusion_blockers() == [], "a capture fell back to legacy dispatch"
+        legacy = sim._captures or sim._noted_commits or sim._plain_commits
+        assert sim.seq is not None and not legacy, (
+            "a capture fell back to legacy dispatch"
+        )
         _assert_raises_everywhere(factory)
 
     @pytest.mark.parametrize("meb_cls", [FullMEB, ReducedMEB])

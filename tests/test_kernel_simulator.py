@@ -166,6 +166,29 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run(until=lambda s: False, max_cycles=10)
 
+    def test_until_deadlock_diagnosis_is_cycle_exact(self):
+        # 10 items pushed, 11 awaited: the network drains, idles, and the
+        # guard fires after exactly max_cycles cycles on every engine,
+        # with the same transfers as a run that stops at completion.
+        from repro.sweep.families import make_mt_chain
+
+        def loaded_chain(engine):
+            sim, source, sink = make_mt_chain(threads=2, n_funcs=2, n_items=0, engine=engine)
+            for t in range(2):
+                for k in range(5):
+                    source.push(t, t * 100 + k)
+            return sim, sink
+
+        done_sim, done_sink = loaded_chain("naive")
+        done_sim.run(until=lambda _s: done_sink.count >= 10, max_cycles=300)
+        assert done_sim.cycle < 300
+        for engine in ("compiled", "naive"):
+            sim, sink = loaded_chain(engine)
+            with pytest.raises(SimulationError, match="within 300 cycles"):
+                sim.run(until=lambda _s: sink.count >= 11, max_cycles=300)
+            assert sim.cycle == 300
+            assert list(sink.received) == list(done_sink.received)
+
     def test_add_after_start_rejected(self):
         sim = build(Counter("cnt"))
         sim.step()

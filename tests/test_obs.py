@@ -2,9 +2,8 @@
 
 The profiler tests pin its hard contract differentially: a profiled run
 must be *bit-identical* to an unprofiled one (same cycles, same sink
-contents, same campaign metrics) on every engine, fusion must stay on
-while profiling, and a detached simulator must carry zero profiler
-residue — it runs the exact code it would have run had the profiler
+contents, same campaign metrics) on every engine, and a detached
+simulator must carry zero profiler residue — it runs the exact code it would have run had the profiler
 never existed.
 """
 
@@ -230,30 +229,33 @@ class TestKernelProfiler:
             sim.run(cycles=3)
         assert sim.profiler is None
         assert "_tick" not in sim.__dict__
-        assert "_fuse_quiescent" not in sim.__dict__
         assert "settle" not in sim._engine.__dict__
         # the simulator still advances and completes after detach
         _drain(sim, sink)
         assert sink.count == 12
 
     def test_fusion_stays_on_while_profiled(self):
-        sim, src, sink, _mebs, _mons = make_mt_bursty(
-            FullMEB, threads=2, n_stages=2, engine="compiled",
-        )
-        with sim.profile() as prof:
+        """Idle-heavy bursty run: profiled == unprofiled, every cycle ticked.
+
+        ``cycles.fused`` stays in the report, always 0, for readers of
+        the old key (the perfbench workloads).
+        """
+        runs = []
+        for profiled in (False, True):
+            sim, src, sink, _mebs, mons = make_mt_bursty(
+                FullMEB, threads=2, n_stages=2, engine="compiled",
+            )
+            if profiled:
+                prof = sim.attach_profiler()
             for t in range(2):
                 for i in range(4):
                     src.push(t, (t << 8) | i)
             sim.run(cycles=500)
+            runs.append((sim.cycle, sink.received, [m.activity for m in mons]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 8
         report = prof.report()
-        assert report["cycles"]["fused"] > 0, (
-            "settle+tick fusion was disabled by the profiler"
-        )
-        assert report["cycles"]["fusion_utilization"] > 0.5
-        assert report["phases"]["fused"]["calls"] == (
-            report["cycles"]["fused_batches"]
-        )
-        assert sink.count == 8
+        assert report["cycles"] == {"total": 500, "ticked": 500, "fused": 0}
 
     def test_constructor_flag_and_detach(self):
         from repro.kernel import Component
