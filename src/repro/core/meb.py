@@ -21,6 +21,15 @@ Both expose the same interface: an upstream :class:`MTChannel` whose
 ``valid[i]``/``data`` they drive.  ``ready[i]`` and the per-thread
 occupancies are functions of registered state only, so MEB-to-MEB links
 have no backward combinational paths.
+
+Each buffer has a reference step (``combinational``/``capture``/
+``commit``, what the ``naive`` oracle runs) and one compiled step: an
+inlined settle step (``compile_comb``) and a columnar tick plan
+(``compile_seq``).  The compiled steps read the storage directly, so
+they return ``None`` — the engine then runs the reference step — when a
+subclass overrides what they inline: ``combinational``, ``occupancy``,
+``can_accept`` or ``head`` for the settle step, ``capture`` or
+``commit`` for the tick plan.
 """
 
 from __future__ import annotations
@@ -38,6 +47,14 @@ from repro.kernel.values import X, as_bool, bools, same_value, state_changed
 EMPTY = "EMPTY"
 HALF = "HALF"
 FULL = "FULL"
+
+#: Items held by a ReducedMEB thread in each control state.
+_OCCUPANCY = {EMPTY: 0, HALF: 1, FULL: 2}
+
+#: Methods the inlined settle step reads through instead of calling.
+_SETTLE_HOOKS = ("combinational", "occupancy", "can_accept", "head")
+#: Methods the columnar tick plan replaces.
+_TICK_HOOKS = ("capture", "commit")
 
 
 def _seq_input_thread(values, uvb, uve, urb, path, up_path):
@@ -133,20 +150,6 @@ class _MEBBase(Component):
     def can_accept(self, thread: int) -> bool:
         raise NotImplementedError
 
-    def _valid_vector(self) -> list[bool]:
-        """Per-thread occupancy > 0, in one pass (hot path).
-
-        Subclasses install a storage-specific fast variant from their
-        constructor — but only when the scalar hooks are not overridden
-        further down, so ablation subclasses that tweak ``occupancy`` /
-        ``can_accept`` keep their semantics.
-        """
-        return [self.occupancy(i) > 0 for i in range(self.threads)]
-
-    def _accept_vector(self) -> list[bool]:
-        """Per-thread can_accept, in one pass (hot path)."""
-        return [self.can_accept(i) for i in range(self.threads)]
-
     # -- common occupancy helpers ------------------------------------------
     def total_occupancy(self) -> int:
         return sum(self.occupancy(i) for i in range(self.threads))
@@ -156,82 +159,21 @@ class _MEBBase(Component):
 
     # -- evaluation ----------------------------------------------------------
     def combinational(self) -> None:
-        valids = self._valid_vector()
+        valids = [self.occupancy(i) > 0 for i in range(self.threads)]
         readies = [as_bool(sig.value) for sig in self._down_ready_sigs]
         requests = self.policy.requests(valids, readies)
         grant = self.arbiter.grant(requests)
         self._grant = grant
         for i, sig in enumerate(self._down_valid_sigs):
             sig.set(grant == i)
-        for sig, accept in zip(self._up_ready_sigs, self._accept_vector()):
-            sig.set(accept)
+        for i, sig in enumerate(self._up_ready_sigs):
+            sig.set(self.can_accept(i))
         self.down.data.set(self.head(grant) if grant is not None else X)
 
-    def compile_comb(self, store):
-        """Slot-compiled :meth:`combinational`: batched handshake IO.
-
-        Reads the S downstream readies as one slice, grants through the
-        arbiter's index-scan fast path, and writes the S ``valid`` and S
-        ``ready`` outputs with one slice compare-and-assign each instead
-        of 2S ``Signal.set`` calls — marking the declared readers of a
-        block only when it actually changed.  Storage semantics stay
-        behind the :meth:`_valid_vector`/:meth:`_accept_vector`/
-        :meth:`head` hooks, so Full/Reduced MEBs and their ablation
-        subclasses all share this one step.  Bails out (``None`` = engine
-        falls back to ``combinational()``) when a subclass replaced the
-        combinational logic or the arbiter's grant rule, or when the
-        handshake signals did not land on packed slots.
-        """
-        if type(self).combinational is not _MEBBase.combinational:
-            return None
-        if type(self.arbiter).grant is not RoundRobinArbiter.grant:
-            return None
-        layout = self._compile_layout(store)
-        if layout is None:
-            return None
-        (values, dirty, vb, ve, rb, re_, ub, ue, data_slot,
-         valid_readers, accept_readers, data_readers) = layout
-        valid_vec = self._valid_vector
-        accept_vec = self._accept_vector
-        head = self.head
-        requests_of = self.policy.requests_fast
-        grant_fast = self.arbiter.grant_fast
-        falses = [False] * self.threads
-        one_hot = one_hot_vectors(self.threads)
-        unknown = X
-
-        def step() -> bool:
-            valids = valid_vec()
-            readies = bools(values[rb:re_])
-            grant = grant_fast(requests_of(valids, readies))
-            self._grant = grant
-            if grant is None:
-                new_valid = falses
-                new_data = unknown
-            else:
-                new_valid = one_hot[grant]
-                new_data = head(grant)
-            changed = False
-            if values[vb:ve] != new_valid:
-                values[vb:ve] = new_valid
-                if valid_readers:
-                    dirty.update(valid_readers)
-                changed = True
-            accepts = accept_vec()
-            if values[ub:ue] != accepts:
-                values[ub:ue] = accepts
-                if accept_readers:
-                    dirty.update(accept_readers)
-                changed = True
-            old = values[data_slot]
-            if old is not new_data and not same_value(old, new_data):
-                values[data_slot] = new_data
-                if data_readers:
-                    dirty.update(data_readers)
-                changed = True
-            return changed
-
-        return step
+    def _overrides(self, stock: type, names: tuple[str, ...]) -> bool:
+        """Whether this object's class replaces any of *stock*'s *names*."""
+        cls = type(self)
+        return any(getattr(cls, n) is not getattr(stock, n) for n in names)
 
     def _compile_layout(self, store) -> tuple | None:
         """Resolve the slot/reader plumbing shared by every MEB step."""
@@ -268,31 +210,6 @@ class _MEBBase(Component):
             return None
         watch = (down_ready, up_valid, up_ready, (up_data, up_data + 1))
         return down_ready, up_valid, up_ready, up_data, watch
-
-    def compile_seq(self, seq):
-        """Watch-gated tick plan wrapping the stock capture/commit.
-
-        Valid for any MEB whose ``capture``/``commit`` are the stock
-        Full/Reduced implementations — storage-hook overrides (ablation
-        variants tweaking ``occupancy``/``can_accept``) keep their
-        semantics because the plan calls the methods, not a vectorized
-        inline.  The watch set is the union of everything an MEB capture
-        may read: the downstream readies (output transfer), the upstream
-        valid/ready handshakes and the upstream data (input transfer).
-        Subclasses that override capture or commit fall back to the
-        legacy per-cycle dispatch (``None``).
-        """
-        cls = type(self)
-        if cls.capture not in (FullMEB.capture, ReducedMEB.capture):
-            return None
-        if cls.commit not in (FullMEB.commit, ReducedMEB.commit):
-            return None
-        layout = self._seq_layout(seq)
-        if layout is None:
-            return None
-        capture = self.capture
-        return SeqPlan(self, lambda cycle: capture(), self.commit,
-                       layout[4])
 
     def _input_thread(self) -> int | None:
         """The (single) thread transferring in this cycle, with checks."""
@@ -346,12 +263,6 @@ class FullMEB(_MEBBase):
         self._sstore: list[Any] = [[] for _ in range(self.threads)]
         self._sq = 0
         self._next_queues: list[list[Any]] | None = None
-        # Only take the storage-specific fast paths when the scalar
-        # hooks are not overridden by a subclass (see _MEBBase).
-        if type(self).occupancy is FullMEB.occupancy:
-            self._valid_vector = self._fast_valid_vector
-        if type(self).can_accept is FullMEB.can_accept:
-            self._accept_vector = self._fast_accept_vector
 
     # -- storage interface ---------------------------------------------------
     @property
@@ -373,31 +284,23 @@ class FullMEB(_MEBBase):
     def can_accept(self, thread: int) -> bool:
         return len(self._sstore[self._sq + thread]) < self.SLOTS_PER_THREAD
 
-    def _fast_valid_vector(self) -> list[bool]:
-        sq = self._sq
-        return [bool(q) for q in self._sstore[sq:sq + self.threads]]
-
-    def _fast_accept_vector(self) -> list[bool]:
-        sq = self._sq
-        capacity = self.SLOTS_PER_THREAD
-        return [
-            len(q) < capacity for q in self._sstore[sq:sq + self.threads]
-        ]
-
     def compile_comb(self, store):
-        """Fully inlined step for plain FullMEBs (no hook indirection).
+        """Inlined :meth:`combinational`: batched handshake IO.
 
-        One count of the empty queues picks the path: with every queue
-        empty the step publishes constants, with one occupant that
-        thread is the grant under every policy, and only two or more
-        occupants build a request vector for the arbiter.
+        Reads the queue block and the S downstream readies as slices and
+        writes the S ``valid`` and S ``ready`` outputs with one slice
+        compare-and-assign each, marking a block's declared readers only
+        when it changed.  One count of the empty queues picks the path:
+        with every queue empty the step publishes constants, with one
+        occupant that thread is the grant under every policy, and only
+        two or more occupants build a request vector for the arbiter.
 
-        Subclasses (ablations, fault injectors) fall back to the generic
-        hook-based step of :class:`_MEBBase`, which respects their
-        ``occupancy``/``can_accept``/``head`` overrides.
+        ``None`` when a subclass overrides a settle hook the step inlines
+        or the arbiter's grant rule, or when the handshake signals did
+        not land on packed slots.
         """
-        if type(self) is not FullMEB:
-            return super().compile_comb(store)
+        if self._overrides(FullMEB, _SETTLE_HOOKS):
+            return None
         if type(self.arbiter).grant is not RoundRobinArbiter.grant:
             return None
         layout = self._compile_layout(store)
@@ -471,18 +374,17 @@ class FullMEB(_MEBBase):
         return step
 
     def compile_seq(self, seq):
-        """Columnar tick plan for plain FullMEBs: re-homed queues,
-        slot-level transfer detection, delta-gated by the watch set.
+        """Columnar tick plan: re-homed queues, slot-level transfer
+        detection, delta-gated by the watch set.
 
-        Subclasses fall back to the generic watch-gated plan of
-        :class:`_MEBBase` (which respects their storage-hook overrides)
-        or to legacy dispatch.
+        ``None`` (legacy per-cycle dispatch) when a subclass overrides
+        ``capture`` or ``commit``, or when the layout does not resolve.
         """
-        if type(self) is not FullMEB:
-            return super().compile_seq(seq)
+        if self._overrides(FullMEB, _TICK_HOOKS):
+            return None
         layout = self._seq_layout(seq)
         if layout is None:
-            return super().compile_seq(seq)
+            return None
         down_ready, up_valid, up_ready, up_data, watch = layout
         # Re-home the per-thread queues into the columnar store,
         # carrying the live values across (state-preserving rebuild).
@@ -633,12 +535,6 @@ class ReducedMEB(_MEBBase):
         self._next: (
             tuple[list[Any], list[str], Any, int | None] | None
         ) = None
-        # Only take the storage-specific fast paths when the scalar
-        # hooks are not overridden by a subclass (see _MEBBase).
-        if type(self).occupancy is ReducedMEB.occupancy:
-            self._valid_vector = self._fast_valid_vector
-        if type(self).can_accept is ReducedMEB.can_accept:
-            self._accept_vector = self._fast_accept_vector
 
     # -- storage interface ---------------------------------------------------
     @property
@@ -689,9 +585,7 @@ class ReducedMEB(_MEBBase):
         return self._sstore[self._sq + self.threads + thread]
 
     def occupancy(self, thread: int) -> int:
-        return {EMPTY: 0, HALF: 1, FULL: 2}[
-            self._sstore[self._sq + self.threads + thread]
-        ]
+        return _OCCUPANCY[self._sstore[self._sq + self.threads + thread]]
 
     def head(self, thread: int) -> Any:
         return self._sstore[self._sq + thread]
@@ -707,20 +601,11 @@ class ReducedMEB(_MEBBase):
             return not self.shared_full
         return False
 
-    def _fast_valid_vector(self) -> list[bool]:
-        return [s != EMPTY for s in self._state]
-
-    def _fast_accept_vector(self) -> list[bool]:
-        shared_free = self._shared_owner is None
-        return [
-            s == EMPTY or (s == HALF and shared_free) for s in self._state
-        ]
-
     def compile_comb(self, store):
-        """Fully inlined step for plain ReducedMEBs (see FullMEB's; the
+        """Inlined :meth:`combinational` (see FullMEB's; the
         single-occupant path covers a lone HALF thread)."""
-        if type(self) is not ReducedMEB:
-            return super().compile_comb(store)
+        if self._overrides(ReducedMEB, _SETTLE_HOOKS):
+            return None
         if type(self.arbiter).grant is not RoundRobinArbiter.grant:
             return None
         layout = self._compile_layout(store)
@@ -798,12 +683,12 @@ class ReducedMEB(_MEBBase):
         return step
 
     def compile_seq(self, seq):
-        """Columnar tick plan for plain ReducedMEBs (see FullMEB's)."""
-        if type(self) is not ReducedMEB:
-            return super().compile_seq(seq)
+        """Columnar tick plan (see FullMEB's)."""
+        if self._overrides(ReducedMEB, _TICK_HOOKS):
+            return None
         layout = self._seq_layout(seq)
         if layout is None:
-            return super().compile_seq(seq)
+            return None
         down_ready, up_valid, up_ready, up_data, watch = layout
         # Re-home [main×S][state×S][shared_item][shared_owner].
         threads = self.threads

@@ -29,6 +29,7 @@ import pytest
 from repro.apps.md5 import MD5Hasher
 from repro.apps.processor import Processor, programs
 from repro.core import FullMEB, GrantPolicy, ReducedMEB, StructuralFullMEB
+from repro.core.meb import EMPTY
 from repro.elastic import (
     Branch,
     EagerFork,
@@ -49,6 +50,7 @@ from repro.kernel import Component, ConvergenceError, Simulator, build
 from repro.kernel.values import same_value
 from repro.netlist import DataflowGraph, elaborate
 from repro.sweep.families import make_mt_chain
+from repro.sweep.fuzz import DroppingMEB, DuplicatingMEB
 
 from tests.conftest import make_mt_pipeline
 
@@ -346,6 +348,26 @@ class TestApplications:
 # wide designs (the compiled fast paths branch on the thread count)
 # ----------------------------------------------------------------------
 
+class EmptyOnlyReducedMEB(ReducedMEB):
+    """Storage-hook override: admits only EMPTY threads (no shared slot)."""
+
+    def can_accept(self, thread):
+        return self.thread_state(thread) == EMPTY
+
+
+class CapacityOneFullMEB(FullMEB):
+    """Storage-hook override: one item per thread, through can_accept."""
+
+    def can_accept(self, thread):
+        return self.occupancy(thread) < 1
+
+
+#: MEBs overriding a hook the inlined settle step reads: they settle
+#: through the reference ``combinational()``.  The capture-only fault
+#: MEBs keep the inlined settle step.
+HOOK_OVERRIDES = (EmptyOnlyReducedMEB, CapacityOneFullMEB)
+
+
 class TestWideDifferential:
     """Thread counts where the compiled steps take their width-dependent
     shortcuts: all-empty exits, single-occupant grants, masked grants
@@ -373,17 +395,24 @@ class TestWideDifferential:
         for variant in TICK_VARIANTS[1:]:
             assert results["naive"] == results[variant], variant
 
-    @pytest.mark.parametrize("meb_cls", [FullMEB, ReducedMEB])
+    @pytest.mark.parametrize(
+        "meb_cls",
+        [FullMEB, ReducedMEB, *HOOK_OVERRIDES, DroppingMEB, DuplicatingMEB],
+    )
     @pytest.mark.parametrize("policy", list(GrantPolicy), ids=lambda p: p.value)
     def test_mt_pipeline_8_threads_stalling(self, meb_cls, policy):
         def factory(engine):
             items = [list(range(10 * t, 10 * t + 6)) for t in range(8)]
-            sim, _src, _snk, _mebs, _mons = make_mt_pipeline(
+            sim, _src, _snk, mebs, _mons = make_mt_pipeline(
                 meb_cls, threads=8, items=items, n_stages=3,
                 sink_patterns={0: stall_window(3, 25), 2: duty_cycle(1, 2),
                                5: duty_cycle(2, 5), 7: stall_window(0, 40)},
                 policy=policy, engine=engine,
             )
+            if engine == "compiled":
+                inlined = meb_cls not in HOOK_OVERRIDES
+                for meb in mebs:
+                    assert (meb.compile_comb(sim.store) is not None) == inlined
             return sim
 
         assert_identical_traces(factory, 70)

@@ -204,7 +204,7 @@ class TestDetach:
         sim.run(cycles=4)
         assert len(rec) == 3, "recorder kept sampling after detach"
 
-    def test_detach_reenables_fusion(self):
+    def test_detach_removes_observer(self):
         """Detaching removes the recorder's observer; the run completes."""
         sim, src, sink, _mebs, _mons = make_mt_bursty(
             FullMEB, threads=2, n_stages=2, engine="compiled",

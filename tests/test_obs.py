@@ -234,7 +234,7 @@ class TestKernelProfiler:
         _drain(sim, sink)
         assert sink.count == 12
 
-    def test_fusion_stays_on_while_profiled(self):
+    def test_profiled_idle_run_matches_unprofiled(self):
         """Idle-heavy bursty run: profiled == unprofiled, every cycle ticked.
 
         ``cycles.fused`` stays in the report, always 0, for readers of

@@ -103,7 +103,7 @@ class TestPlanWiring:
         assert arch_state(cpu_a) == arch_state(cpu_b)
 
 
-class TestFusionWithIdleStretches:
+class TestIdleStretches:
     def run_phases(self, engine, gap=300, phases=2):
         """Program waves separated by idle windows."""
         cpu = Processor(threads=3, meb="reduced", engine=engine)
@@ -115,14 +115,14 @@ class TestFusionWithIdleStretches:
             cpu.run_cycles(gap)
         return cpu
 
-    def test_fused_phases_match_naive_engine(self):
+    def test_idle_separated_phases_match_naive_engine(self):
         results = {}
         for engine in ("naive", "compiled"):
             cpu = self.run_phases(engine)
             results[engine] = arch_state(cpu)
         assert results["naive"] == results["compiled"]
 
-    def test_fusion_actually_batches_idle_windows(self):
+    def test_idle_window_skips_every_plan(self):
         """A halted pipeline's idle window runs with every plan skipped."""
         cpu = make_cpu()
         cpu.run()  # all threads halt

@@ -231,12 +231,8 @@ class TestInvalidation:
         assert snk.values_for(0)[-1] == 123
 
 
-class TestFusion:
-    """Bursts separated by long idle gaps, run through delta-gated ticks.
-
-    The name predates the removal of settle+tick fusion, which used to
-    batch these gaps; the test ids are kept stable.
-    """
+class TestBurstyIdleGaps:
+    """Bursts separated by long idle gaps, run through delta-gated ticks."""
 
     def make_bursty(self, engine):
         sim, src, snk, mebs, mons = make_mt_pipeline(
@@ -265,7 +261,7 @@ class TestFusion:
             )
         assert results["naive"] == results["compiled"]
 
-    def test_observer_blocks_fusion(self):
+    def test_observer_sees_every_cycle(self):
         sim, src, snk, _mons = self.make_bursty("compiled")
         seen = []
         sim.add_observer(lambda s: seen.append(s.cycle))
@@ -273,7 +269,7 @@ class TestFusion:
         # Per-cycle observation implies per-cycle stepping.
         assert seen == list(range(100))
 
-    def test_until_runs_never_fuse(self):
+    def test_until_run_stops_on_predicate(self):
         sim, src, snk, _mons = self.make_bursty("compiled")
         for t in range(3):
             src.push(t, (0, t))
