@@ -12,7 +12,7 @@ CI.  Two modes:
   against conservative floors, and writes the measurements to
   ``benchmarks/results/BENCH_kernel.json`` so CI can upload them as an
   artifact and gate regressions against the committed repo-root
-  ``BENCH_kernel.json`` baseline (see ``benchmarks/check_regression.py``).
+  ``BENCH_kernel.json`` baseline (``python benchmarks/check_gate.py kernel``).
 
 Set ``BENCH_SMOKE=1`` to shrink every workload (CI's benchmark smoke
 job); the JSON is still produced, only with smaller configurations and
@@ -105,13 +105,25 @@ def test_perf_processor_workload(benchmark):
 # engine comparison mode
 # ----------------------------------------------------------------------
 
-def _run_pipeline(engine):
-    """Returns (cycles, run-only seconds, behaviour fingerprint)."""
-    threads, n_items = (4, 10) if SMOKE else (8, 50)
+#: mt_pipeline items per thread.  The full-mode engine comparison runs
+#: 8004 cycles, ~0.2 s of compiled work per rep, so one slow read on a
+#: shared host cannot swing its ratio; the profiler round trip keeps the
+#: 50 items its ``profile_overhead`` baseline was recorded at.
+PIPELINE_ITEMS = 10 if SMOKE else 1000
+PROFILE_ITEMS = 10 if SMOKE else 50
+
+
+def _run_pipeline(engine, n_items=PIPELINE_ITEMS, profile=False):
+    """Returns (cycles, run-only seconds, behaviour fingerprint).  With
+    *profile*, a profiler is attached and detached before the run."""
+    threads = 4 if SMOKE else 8
     items = [list(range(n_items)) for _ in range(threads)]
     sim, _src, sink, _mebs, _mons = make_mt_pipeline(
         FullMEB, threads=threads, items=items, n_stages=4, engine=engine,
     )
+    if profile:
+        with sim.profile():
+            pass
     start = time.perf_counter()
     sim.run(until=lambda s: sink.count == threads * n_items,
             max_cycles=20_000)
@@ -354,32 +366,16 @@ def _measure(runners, reps):
 # unprofiled fast path.  `profile_overhead` is (cps after a profiler
 # attach/detach round trip) / (plain cps) on the mt_pipeline workload —
 # nominally 1.0 — recorded in BENCH_kernel.json and gated like the
-# engine speedups (see benchmarks/check_regression.py).
-
-def _run_pipeline_after_profile():
-    """_run_pipeline(compiled), but attach+detach a profiler first."""
-    threads, n_items = (4, 10) if SMOKE else (8, 50)
-    items = [list(range(n_items)) for _ in range(threads)]
-    sim, _src, sink, _mebs, _mons = make_mt_pipeline(
-        FullMEB, threads=threads, items=items, n_stages=4,
-        engine="compiled",
-    )
-    session = sim.profile()
-    session.__enter__()
-    session.__exit__(None, None, None)
-    start = time.perf_counter()
-    sim.run(until=lambda s: sink.count == threads * n_items,
-            max_cycles=20_000)
-    elapsed = time.perf_counter() - start
-    return sim.cycle, elapsed, (sim.cycle, sink.received)
-
+# engine speedups (``python benchmarks/check_gate.py kernel``).
 
 def measure_profile_overhead(reps):
     """Returns (overhead ratio, its IQR): after-detach cps over plain."""
     measured = _measure(
         {
-            "plain": lambda: _run_pipeline("compiled"),
-            "after": _run_pipeline_after_profile,
+            "plain": lambda: _run_pipeline("compiled", PROFILE_ITEMS),
+            "after": lambda: _run_pipeline(
+                "compiled", PROFILE_ITEMS, profile=True
+            ),
         },
         reps,
     )
@@ -396,8 +392,8 @@ def measure_profile_overhead(reps):
 # ----------------------------------------------------------------------
 # One snapshot plus one restore of the paper sweep's fuzz design, the
 # rewind every fuzz pattern and every design-cache hit pays.  Absolute
-# microseconds are machine-dependent, so check_regression.py ignores
-# the field, as it ignores the ``_iqr`` fields.
+# microseconds are machine-dependent, so the kernel gate of
+# check_gate.py ignores the field, as it ignores the ``_iqr`` fields.
 
 #: Snapshot+restore pairs timed per rep.
 REWIND_PAIRS = 50 if SMOKE else 500

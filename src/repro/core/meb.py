@@ -154,9 +154,6 @@ class _MEBBase(Component):
     def total_occupancy(self) -> int:
         return sum(self.occupancy(i) for i in range(self.threads))
 
-    def occupied_threads(self) -> list[int]:
-        return [i for i in range(self.threads) if self.occupancy(i) > 0]
-
     # -- evaluation ----------------------------------------------------------
     def combinational(self) -> None:
         valids = [self.occupancy(i) > 0 for i in range(self.threads)]

@@ -11,7 +11,6 @@ from repro.kernel.engine import ENGINES, CompiledEngine, NaiveEngine
 from repro.kernel.ensemble import (
     POISON,
     EnsembleContext,
-    EnsembleSimulator,
     lift_simulator,
 )
 from repro.kernel.errors import (
@@ -38,7 +37,6 @@ __all__ = [
     "ENGINES",
     "EnsembleContext",
     "EnsembleDivergence",
-    "EnsembleSimulator",
     "EnsembleUnsupported",
     "NaiveEngine",
     "KernelError",

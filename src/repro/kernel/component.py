@@ -120,16 +120,6 @@ class Component:
         sig.set_driver(self)
         return sig
 
-    def adopt(self, sig: Signal, local_name: str | None = None) -> Signal:
-        """Register an externally created signal under this component."""
-        key = local_name if local_name is not None else sig.name
-        if key in self._signals:
-            raise WiringError(
-                f"component {self.name!r} already owns a signal {key!r}"
-            )
-        self._signals[key] = sig
-        return sig
-
     def local_signals(self) -> dict[str, Signal]:
         """Signals owned directly by this component (no descendants)."""
         return dict(self._signals)

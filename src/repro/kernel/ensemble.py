@@ -257,66 +257,3 @@ def lift_simulator(sim: Any, width: int = 0) -> EnsembleContext:
     if ctx.lifted:
         sim.rebuild()
     return ctx
-
-
-class EnsembleSimulator:
-    """A simulator advancing K control-identical scenarios in lockstep.
-
-    Thin wrapper pairing a lifted :class:`~repro.kernel.simulator.Simulator`
-    with its :class:`EnsembleContext`.  Build the design once, call
-    :meth:`load` with the batch width before each batch, push rows (use
-    :meth:`row` to build them), run, then extract per-lane results with
-    :meth:`lane_values`.  Snapshot/restore/fork delegate to the wrapped
-    simulator, so a pristine post-lift snapshot makes the design
-    reusable across batches of any width.
-    """
-
-    def __init__(self, sim: Any, width: int = 0):
-        self.sim = sim
-        self.ctx = lift_simulator(sim, width)
-
-    @property
-    def width(self) -> int:
-        return self.ctx.width
-
-    # ------------------------------------------------------------------
-    # batch lifecycle
-    # ------------------------------------------------------------------
-    def load(self, width: int) -> None:
-        """Arm the context for a batch of *width* lanes."""
-        self.ctx.reset(width)
-
-    def row(self, values: Iterable[Any]) -> tuple:
-        return self.ctx.row(values)
-
-    def lane_ok(self, lane: int) -> bool:
-        return self.ctx.lane_ok(lane)
-
-    def lane_error(self, lane: int) -> str | None:
-        return self.ctx.failures.get(lane)
-
-    def lane_values(self, rows: Iterable[Sequence[Any]], lane: int) -> list[Any]:
-        """Extract one lane's payloads from an iterable of rows."""
-        return [self.ctx.lane(row, lane) for row in rows]
-
-    # ------------------------------------------------------------------
-    # delegation
-    # ------------------------------------------------------------------
-    def run(self, *args: Any, **kwargs: Any) -> int:
-        return self.sim.run(*args, **kwargs)
-
-    @property
-    def cycle(self) -> int:
-        return self.sim.cycle
-
-    def snapshot(self) -> Any:
-        return self.sim.snapshot()
-
-    def restore(self, snap: Any) -> None:
-        self.sim.restore(snap)
-
-    def fork(self) -> Any:
-        return self.sim.fork()
-
-    def __repr__(self) -> str:
-        return f"<EnsembleSimulator width={self.width} sim={self.sim!r}>"

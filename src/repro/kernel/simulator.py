@@ -75,9 +75,6 @@ from repro.kernel.engine import ENGINES, make_engine
 # Re-exported here because ensemble execution is part of the simulator's
 # public surface (build one simulator, advance K scenarios in lockstep).
 from repro.kernel.ensemble import (
-    EnsembleSimulator as EnsembleSimulator,
-)
-from repro.kernel.ensemble import (
     lift_simulator as lift_simulator,
 )
 from repro.kernel.errors import SimulationError

@@ -18,7 +18,6 @@ import pytest
 from repro.kernel import (
     POISON,
     EnsembleDivergence,
-    EnsembleSimulator,
     lift_simulator,
 )
 from repro.kernel.errors import EnsembleUnsupported
@@ -180,18 +179,18 @@ def test_unsafe_component_refuses_lift():
 
 def test_ensemble_snapshot_restore_replays():
     sim, source, sink = make_mt_chain(threads=2, n_funcs=1, n_items=0)
-    es = EnsembleSimulator(sim)
-    es.load(2)
+    ctx = lift_simulator(sim)
+    ctx.reset(2)
     for t in range(2):
         for k in range(3):
-            source.push(t, es.row((100 + t * 10 + k, 200 + t * 10 + k)))
-    snap = es.snapshot()
-    es.run(cycles=40)
-    first = (es.cycle, list(sink.received))
-    es.restore(snap)
-    es.run(cycles=40)
-    assert (es.cycle, list(sink.received)) == first
-    assert es.lane_values((r for _c, _t, r in sink.received), 0) == [
+            source.push(t, ctx.row((100 + t * 10 + k, 200 + t * 10 + k)))
+    snap = sim.snapshot()
+    sim.run(cycles=40)
+    first = (sim.cycle, list(sink.received))
+    sim.restore(snap)
+    sim.run(cycles=40)
+    assert (sim.cycle, list(sink.received)) == first
+    assert [ctx.lane(r, 0) for _c, _t, r in sink.received] == [
         row[0] for _c, _t, row in first[1]
     ]
 

@@ -281,14 +281,14 @@ class TestFuzzCampaign:
 # ----------------------------------------------------------------------
 
 class TestCoverageRegressionGate:
-    """benchmarks/check_coverage_regression.py — the fuzz-level gate."""
+    """benchmarks/check_gate.py coverage — the fuzz-level gate."""
 
     @staticmethod
     def _gate():
         spec = importlib.util.spec_from_file_location(
-            "check_coverage_regression",
+            "check_gate",
             pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "check_coverage_regression.py",
+            / "benchmarks" / "check_gate.py",
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -320,7 +320,7 @@ class TestCoverageRegressionGate:
 
     def test_identical_reports_pass(self):
         gate = self._gate()
-        lines, regressions = gate.compare(self._report(), self._report(), 0.25)
+        lines, regressions = gate.compare("coverage", self._report(), self._report(), 0.25)
         assert not regressions
         assert any("✅" in line for line in lines)
 
@@ -331,7 +331,7 @@ class TestCoverageRegressionGate:
         current["scenarios"][1]["metrics"]["oracle_ok"] = False
         current["summary"]["coverage_pct"] = 30.0
         current["summary"]["fault_oracles"]["pass_rate"] = 0.5
-        _lines, regressions = gate.compare(self._report(), current, 0.25)
+        _lines, regressions = gate.compare("coverage", self._report(), current, 0.25)
         assert len(regressions) == 4
         assert any("cov %" in msg for msg in regressions)
         assert any("oracle" in msg for msg in regressions)
@@ -346,7 +346,7 @@ class TestCoverageRegressionGate:
             "status": "ok",
             "metrics": {"oracle_ok": True},
         })
-        lines, regressions = gate.compare(self._report(), current, 0.25)
+        lines, regressions = gate.compare("coverage", self._report(), current, 0.25)
         assert regressions and "missing or failed" in regressions[0]
         assert any("not gated" in line for line in lines)
 
@@ -357,13 +357,14 @@ class TestCoverageRegressionGate:
         base_path.write_text(json.dumps(self._report()), encoding="utf-8")
         cur_path.write_text(json.dumps(self._report()), encoding="utf-8")
         monkeypatch.delenv("BENCH_TOLERANCE", raising=False)
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 0
+        assert gate.main(["x", "coverage", str(base_path), str(cur_path)]) == 0
         assert (tmp_path / "coverage_regression_delta.md").exists()
         bad = self._report()
         bad["summary"]["coverage_pct"] = 1.0
         cur_path.write_text(json.dumps(bad), encoding="utf-8")
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 1
-        assert gate.main(["x", str(base_path), str(tmp_path / "nope")]) == 2
+        assert gate.main(["x", "coverage", str(base_path), str(cur_path)]) == 1
+        assert gate.main(["x", "coverage", str(base_path), str(tmp_path / "nope")]) == 2
+        assert gate.main(["x"]) == 2
 
 
 # ----------------------------------------------------------------------

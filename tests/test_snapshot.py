@@ -371,25 +371,40 @@ def test_restore_keeps_callbacks_bound_to_live_design(engine):
     assert cpu.decode.fn.__self__ is cpu
 
 
-def test_kernel_gate_ignores_rewind_and_noise_fields():
+def _gate():
+    """benchmarks/check_gate.py, loaded from its file."""
     import importlib.util
     import pathlib
 
-    path = (pathlib.Path(__file__).parent.parent / "benchmarks"
-            / "check_regression.py")
-    spec = importlib.util.spec_from_file_location("check_regression", path)
+    path = pathlib.Path(__file__).parent.parent / "benchmarks" / "check_gate.py"
+    spec = importlib.util.spec_from_file_location("check_gate", path)
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
+    return gate
+
+
+def test_kernel_gate_ignores_rewind_and_noise_fields():
+    gate = _gate()
     row = {"compiled_speedup": 4.0, "compiled_speedup_iqr": 0.1}
     baseline = {"workloads": {"w": row}, "rewind_us": 50.0,
                 "rewind_us_iqr": 1.0}
     slower = {"workloads": {"w": {**row, "compiled_speedup_iqr": 9.0}},
               "rewind_us": 5000.0, "rewind_us_iqr": 900.0}
-    _lines, regressions = gate.compare(baseline, slower, 0.25)
+    _lines, regressions = gate.compare("kernel", baseline, slower, 0.25)
     assert regressions == []
     slower["workloads"]["w"]["compiled_speedup"] = 2.0
-    _lines, regressions = gate.compare(baseline, slower, 0.25)
+    _lines, regressions = gate.compare("kernel", baseline, slower, 0.25)
     assert len(regressions) == 1
+
+
+def test_kernel_gate_fails_on_vanished_ratio():
+    gate = _gate()
+    baseline = {"workloads": {"w": {"compiled_speedup": 4.0, "ensemble_speedup": 8.0}}}
+    current = {"workloads": {"w": {"compiled_speedup": 4.0}}}
+    _lines, regressions = gate.compare("kernel", baseline, current, 0.25)
+    assert len(regressions) == 1
+    assert "ensemble/serial" in regressions[0]
+    assert "missing from the current report" in regressions[0]
 
 
 # ----------------------------------------------------------------------

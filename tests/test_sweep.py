@@ -446,16 +446,16 @@ class TestReportAndCLI:
 
 
 class TestSweepRegressionGate:
-    """benchmarks/check_sweep_regression.py — the campaign-level gate."""
+    """benchmarks/check_gate.py sweep — the campaign-level gate."""
 
     @staticmethod
     def _gate():
         import importlib.util
 
         spec = importlib.util.spec_from_file_location(
-            "check_sweep_regression",
+            "check_gate",
             pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "check_sweep_regression.py",
+            / "benchmarks" / "check_gate.py",
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -484,7 +484,7 @@ class TestSweepRegressionGate:
 
     def test_identical_reports_pass(self):
         gate = self._gate()
-        lines, regressions = gate.compare(self._report(), self._report(), 0.25)
+        lines, regressions = gate.compare("sweep", self._report(), self._report(), 0.25)
         assert not regressions
         assert any("✅" in line for line in lines)
 
@@ -493,7 +493,7 @@ class TestSweepRegressionGate:
         current = self._report()
         current["scenarios"][0]["metrics"]["cycles"] = 150   # +50% cycles
         current["scenarios"][1]["metrics"]["ipc"] = 1.0      # -33% ipc
-        lines, regressions = gate.compare(self._report(), current, 0.25)
+        lines, regressions = gate.compare("sweep", self._report(), current, 0.25)
         assert len(regressions) == 2
         assert any("cycles" in msg for msg in regressions)
         assert any("ipc" in msg for msg in regressions)
@@ -502,14 +502,14 @@ class TestSweepRegressionGate:
         gate = self._gate()
         current = self._report()
         del current["scenarios"][0]["metrics"]["cycles"]  # shape drift
-        _lines, regressions = gate.compare(self._report(), current, 0.25)
+        _lines, regressions = gate.compare("sweep", self._report(), current, 0.25)
         assert regressions and "missing from the current report" in regressions[0]
 
     def test_missing_or_failed_scenario_regresses(self):
         gate = self._gate()
         current = self._report()
         current["scenarios"][1]["status"] = "error"
-        _lines, regressions = gate.compare(self._report(), current, 0.25)
+        _lines, regressions = gate.compare("sweep", self._report(), current, 0.25)
         assert regressions and "missing or failed" in regressions[0]
 
     def test_new_scenario_not_gated(self):
@@ -520,7 +520,7 @@ class TestSweepRegressionGate:
             "status": "ok",
             "metrics": {"cycles": 10},
         })
-        lines, regressions = gate.compare(self._report(), current, 0.25)
+        lines, regressions = gate.compare("sweep", self._report(), current, 0.25)
         assert not regressions
         assert any("not gated" in line for line in lines)
 
@@ -532,12 +532,13 @@ class TestSweepRegressionGate:
         current = self._report()
         cur_path.write_text(json.dumps(current), encoding="utf-8")
         monkeypatch.delenv("BENCH_TOLERANCE", raising=False)
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 0
+        assert gate.main(["x", "sweep", str(base_path), str(cur_path)]) == 0
         assert (tmp_path / "sweep_regression_delta.md").exists()
         current["scenarios"][0]["metrics"]["cycles"] = 1000
         cur_path.write_text(json.dumps(current), encoding="utf-8")
-        assert gate.main(["x", str(base_path), str(cur_path)]) == 1
-        assert gate.main(["x", str(tmp_path / "nope.json"), str(cur_path)]) == 2
+        assert gate.main(["x", "sweep", str(base_path), str(cur_path)]) == 1
+        assert gate.main(["x", "sweep", str(tmp_path / "nope.json"), str(cur_path)]) == 2
+        assert gate.main(["x", "nope", str(base_path), str(cur_path)]) == 2
 
     def test_committed_baseline_matches_a_fresh_campaign_run(self):
         """The acceptance property: the example campaign reproduces the
@@ -551,5 +552,5 @@ class TestSweepRegressionGate:
         )
         spec = load_spec(root / "examples" / "campaigns" / "paper_sweep.toml")
         report = run_campaign(spec, workers=1)
-        _lines, regressions = gate.compare(baseline, report, 0.0)
+        _lines, regressions = gate.compare("sweep", baseline, report, 0.0)
         assert not regressions
