@@ -187,7 +187,9 @@ def _run_mt_bursty(engine):
         # runners.
         threads, stages, burst, bursts, gap = 2, 2, 4, 2, 500
     else:
-        threads, stages, burst, bursts, gap = 8, 3, 15, 5, 2000
+        # 40 000 cycles: ~0.3 s of compiled work per rep, so one slow
+        # read cannot swing the gated ratio.
+        threads, stages, burst, bursts, gap = 8, 3, 15, 20, 2000
     sim, src, sink, _mebs, _mons = make_mt_bursty(
         FullMEB, threads=threads, n_stages=stages, engine=engine,
     )

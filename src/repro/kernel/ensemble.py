@@ -134,9 +134,6 @@ class EnsembleContext:
                 traceback.format_exception(type(exc), exc, exc.__traceback__)
             )
 
-    def lane_ok(self, lane: int) -> bool:
-        return lane not in self.failures
-
     # ------------------------------------------------------------------
     # row helpers
     # ------------------------------------------------------------------

@@ -49,8 +49,8 @@ class Signal:
     """
 
     __slots__ = (
-        "name", "width", "_store", "_slot", "_driver", "_touched",
-        "_engine", "_readers",
+        "name", "width", "_store", "_slot", "_driver", "_engine",
+        "_readers",
     )
 
     def __init__(self, name: str, width: int = 1, init: Any = X):
@@ -61,7 +61,6 @@ class Signal:
         self._store: list[Any] = [init]
         self._slot = 0
         self._driver: "Component | None" = None
-        self._touched = False
         # Filled in by the compiled engine at finalize time: the engine
         # itself and the indices of the declared reader components.
         self._engine: Any = None
@@ -91,21 +90,10 @@ class Signal:
         if old is value or same_value(old, value):
             return False
         store[slot] = value
-        self._touched = True
         engine = self._engine
         if engine is not None:
             engine.note_change(self, old)
         return True
-
-    # ------------------------------------------------------------------
-    # change tracking (used by the simulator's settle loop)
-    # ------------------------------------------------------------------
-    def clear_touched(self) -> None:
-        self._touched = False
-
-    @property
-    def touched(self) -> bool:
-        return self._touched
 
     # ------------------------------------------------------------------
     # structure

@@ -1,6 +1,6 @@
-"""Unified observability layer: profiler, tracing, metrics.
+"""Unified observability layer: profiler and tracing.
 
-Stdlib-only.  Three independent pieces sharing one design rule — zero
+Stdlib-only.  Two independent pieces sharing one design rule — zero
 cost when off, no behavioural impact when on:
 
 ``repro.obs.profile``
@@ -15,21 +15,16 @@ cost when off, no behavioural impact when on:
     monotonic-clock durations, serialized as JSONL and merged across
     worker processes.
 
-``repro.obs.metrics``
-    :class:`MetricsRegistry` with counters / gauges / histograms,
-    rendered in Prometheus text exposition format (0.0.4).
+The service's Prometheus ``/metrics`` exposition has no registry of its
+own: :meth:`repro.sweep.jobs.JobService.render_metrics` derives every
+series at scrape time from the service's job table.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import KernelProfiler, ProfileSession
 from repro.obs.trace import NullTracer, Span, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "KernelProfiler",
-    "MetricsRegistry",
     "NullTracer",
     "ProfileSession",
     "Span",

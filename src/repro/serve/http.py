@@ -23,8 +23,7 @@ import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
-from repro.sweep.jobs import JobService, QuotaError
+from repro.sweep.jobs import METRICS_CONTENT_TYPE, JobService, QuotaError
 from repro.sweep.registry import registry_payload
 from repro.sweep.spec import SpecError
 
@@ -103,7 +102,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if path == "/metrics":
             body = self.service.render_metrics().encode("utf-8")
             self.send_response(200)
-            self.send_header("Content-Type", MetricsRegistry.CONTENT_TYPE)
+            self.send_header("Content-Type", METRICS_CONTENT_TYPE)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)

@@ -79,10 +79,10 @@ import queue
 import threading
 import time
 import traceback
-from collections import deque
+from bisect import bisect_right
+from collections import Counter, deque
 from typing import Any, Mapping
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sweep.report import aggregate
 from repro.sweep.runner import _scenario_row, execute_unit, plan_units
@@ -120,6 +120,16 @@ _TIMEOUT_FLOOR_S = 30.0
 #: First-retry backoff in seconds; doubles per subsequent attempt.
 _RETRY_BACKOFF_S = 0.05
 
+#: Content-Type of :meth:`JobService.render_metrics` output.
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: ``/metrics`` histogram bucket bounds (seconds), from ~1 ms dedup
+#: hits to multi-second cold campaign builds.
+_BUCKETS = (
+    0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+    30.0,
+)
+
 
 class QuotaError(RuntimeError):
     """A submission was rejected by admission control (HTTP 429).
@@ -154,6 +164,39 @@ class QuotaError(RuntimeError):
             "limit": self.limit,
             "actual": self.actual,
         }
+
+
+def _number(value: float) -> str:
+    """A sample value as exposition text: integral values without ``.0``."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def _labelled(label: str, counts: Mapping[str, int]) -> list[tuple]:
+    """(suffix, value) samples of a one-label counter, by label value.
+
+    Zero counts are left out, as a series that never counted them.
+    """
+    return [
+        (f'{{{label}="{key}"}}', count)
+        for key, count in sorted(counts.items())
+        if count
+    ]
+
+
+def _histogram(values: list[float]) -> list[tuple]:
+    """(suffix, value) samples of an unlabelled histogram of *values*:
+    cumulative ``_bucket`` counts per :data:`_BUCKETS` bound and
+    ``+Inf``, then ``_sum`` and ``_count``."""
+    ordered = sorted(values)
+    samples = [
+        (f'_bucket{{le="{_number(bound)}"}}', bisect_right(ordered, bound))
+        for bound in _BUCKETS
+    ]
+    samples.append(('_bucket{le="+Inf"}', len(values)))
+    samples.append(("_sum", sum(values)))
+    samples.append(("_count", len(values)))
+    return samples
 
 
 def design_affinity(design_key: str, workers: int) -> int:
@@ -311,7 +354,6 @@ class _WorkerPool:
         self.workers = [
             _Worker(self._ctx, i, self.results) for i in range(size)
         ]
-        self.respawns = 0
         self.warm: dict[tuple, list[int]] = {}
 
     def alive(self) -> list[bool]:
@@ -335,7 +377,6 @@ class _WorkerPool:
         """Replace a dead or hung worker with a fresh (cold-cache) one."""
         self.workers[index].kill()
         self.workers[index] = _Worker(self._ctx, index, self.results)
-        self.respawns += 1
         for holders in self.warm.values():
             if index in holders:
                 holders.remove(index)
@@ -382,9 +423,9 @@ class Job:
         self.submitted_at = time.time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        self.completed = 0
-        self.dedup_hits = 0
-        self.rows: list[dict[str, Any]] | None = None
+        #: Finished scenario rows by scenario index, filled by the
+        #: dispatcher as rows complete; status() and scrapes read it.
+        self.rows: dict[int, dict[str, Any]] = {}
         self.report: dict[str, Any] | None = None
         self.error: str | None = None
         self.cancel_event = threading.Event()
@@ -403,6 +444,15 @@ class Job:
         self.events_log: list[dict[str, Any]] = []
         self._subscribers: list[queue.Queue] = []
         self._events_lock = threading.Lock()
+
+    @property
+    def completed(self) -> int:
+        return len(self.rows)
+
+    @property
+    def dedup_hits(self) -> int:
+        """Rows served from the result store instead of simulated."""
+        return sum(1 for row in list(self.rows.values()) if row.get("cached"))
 
     def publish(self, event: dict[str, Any]) -> None:
         """Append *event* to the log and fan it out to subscribers."""
@@ -553,78 +603,12 @@ class JobService:
         # global hit rate.
         self.dedup_hits = 0
         self.dedup_misses = 0
-        # Prometheus-style metrics (rendered by render_metrics / GET
-        # /metrics).  Everything here is also derivable from stats(),
-        # but the registry keeps monotonic counters across the service
-        # lifetime in a scrape-friendly exposition format.
-        self.metrics = MetricsRegistry()
-        m = self.metrics
-        self._m_submitted = m.counter(
-            "repro_jobs_submitted_total", "Campaign jobs accepted by submit()."
-        )
-        self._m_jobs_completed = m.counter(
-            "repro_jobs_completed_total",
-            "Jobs that reached a terminal state.",
-            labelnames=("state",),
-        )
-        self._m_job_duration = m.histogram(
-            "repro_job_duration_seconds",
-            "Wall time from job start to terminal state.",
-        )
-        self._m_scenario_duration = m.histogram(
-            "repro_scenario_duration_seconds",
-            "Per-scenario simulation wall time (cached rows observe 0).",
-        )
-        self._m_scenarios = m.counter(
-            "repro_scenarios_completed_total",
-            "Scenario rows produced, by final status.",
-            labelnames=("status",),
-        )
-        self._m_dedup = m.counter(
-            "repro_dedup_lookups_total",
-            "Result-store lookups before dispatch.",
-            labelnames=("result",),
-        )
-        self._m_ensemble_fallbacks = m.counter(
-            "repro_ensemble_fallbacks_total",
-            "Ensemble units that fell back to serial execution.",
-        )
-        self._m_queue_depth = m.gauge(
-            "repro_queue_depth", "Jobs waiting in the dispatch queue."
-        )
-        self._m_inflight = m.gauge(
-            "repro_pool_inflight", "Units currently executing on pool workers."
-        )
-        self._m_workers = m.gauge(
-            "repro_pool_workers", "Configured worker-pool size (0 = inline)."
-        )
-        self._m_workers_alive = m.gauge(
-            "repro_pool_workers_alive", "Worker processes currently alive."
-        )
-        self._m_respawns = m.counter(
-            "repro_worker_respawns_total",
-            "Dead worker processes replaced with fresh (cold-cache) ones.",
-        )
-        self._m_timeouts = m.counter(
-            "repro_scenario_timeouts_total",
-            "Scenario rows that blew their unit deadline (counted per "
-            "attempt, before any retry).",
-        )
-        self._m_retries = m.counter(
-            "repro_scenario_retries_total",
-            "Retried scenario rows (final attempt > 1), by final status.",
-            labelnames=("outcome",),
-        )
-        self._m_rejected = m.counter(
-            "repro_jobs_rejected_total",
-            "Submissions rejected by admission control, by reason.",
-            labelnames=("reason",),
-        )
-        self._m_drain_seconds = m.gauge(
-            "repro_drain_seconds",
-            "Duration of the last graceful drain (0 until one happens).",
-        )
-        self._m_workers.set(self.pool_size)
+        # Units executing on pool workers (dispatcher thread only; 0
+        # inline), for the /metrics in-flight gauge.
+        self._inflight = 0
+        # Workers replaced since service start; reported only with a
+        # process pool (an inline runner "respawns" by abandonment).
+        self._respawns = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -702,7 +686,6 @@ class JobService:
         self.close()
         drained = round(time.time() - start, 4)
         self._drain_seconds = drained
-        self._m_drain_seconds.set(drained)
         return drained
 
     def _ensure_dispatcher(self) -> None:
@@ -735,7 +718,6 @@ class JobService:
         """Record and raise an admission-control rejection."""
         with self._lock:
             self._rejected[kind] = self._rejected.get(kind, 0) + 1
-        self._m_rejected.inc(reason=kind)
         raise QuotaError(reason, kind=kind, limit=limit, actual=actual)
 
     def submit(
@@ -820,7 +802,6 @@ class JobService:
             self._jobs[job_id] = job
             self._order.append(job_id)
             self._ensure_dispatcher()
-        self._m_submitted.inc()
         self._queue.put(job_id)
         return job_id
 
@@ -902,7 +883,7 @@ class JobService:
                 "configured": self.pool_size,
                 "mode": "pool" if self.pool_size else "inline",
                 "alive": pool.alive() if pool is not None else [],
-                "respawns": pool.respawns if pool is not None else 0,
+                "respawns": self._respawns if self.pool_size else 0,
             },
             # Since-service-start dedup accounting (always present, even
             # store-less, so clients can assert on it unconditionally);
@@ -923,23 +904,99 @@ class JobService:
     # -- observability --------------------------------------------------
 
     def render_metrics(self) -> str:
-        """Prometheus text exposition of the service's metrics.
+        """Prometheus text exposition (0.0.4) of the service's state.
 
-        Point-in-time gauges (queue depth, worker liveness) are
-        refreshed at scrape time; counters/histograms accumulate as
-        events happen.  Content type:
-        :data:`MetricsRegistry.CONTENT_TYPE`.
+        Every series is derived at scrape time from state the service
+        keeps anyway (the job table, each job's rows and event log, the
+        dedup and admission tallies, the pool), so no fact is counted
+        twice.  Counters are service-lifetime totals; the histograms
+        observe each terminal job's wall time and each finished row's
+        ``duration_s`` (cached rows observe 0).  Safe to call from any
+        thread while jobs run.  Content type:
+        :data:`METRICS_CONTENT_TYPE`.
         """
         with self._lock:
-            depth = sum(
-                1 for job in self._jobs.values() if job.state == "queued"
-            )
-        self._m_queue_depth.set(depth)
+            jobs = [self._jobs[job_id] for job_id in self._order]
+            rejected = dict(self._rejected)
+        rows = [row for job in jobs for row in list(job.rows.values())]
+        finished = [job for job in jobs if job.state in TERMINAL_STATES]
         pool = self._pool if self.pool_size else None
-        self._m_workers_alive.set(
-            sum(pool.alive()) if pool is not None else 0
+        timeouts = sum(
+            len(event["keys"])
+            for job in jobs
+            for event in list(job.events_log)
+            if event["event"] == "watchdog" and event["reason"] == "timeout"
         )
-        return self.metrics.render()
+        series = (
+            ("repro_jobs_submitted_total", "counter",
+             "Campaign jobs accepted by submit().", [("", len(jobs))]),
+            ("repro_jobs_completed_total", "counter",
+             "Jobs that reached a terminal state.",
+             _labelled("state", Counter(job.state for job in finished))),
+            ("repro_job_duration_seconds", "histogram",
+             "Wall time from job start to terminal state.",
+             _histogram([
+                 job.finished_at - job.started_at
+                 for job in finished if job.started_at is not None
+             ])),
+            ("repro_scenario_duration_seconds", "histogram",
+             "Per-scenario simulation wall time (cached rows observe 0).",
+             _histogram([
+                 float(row.get("duration_s") or 0.0) for row in rows
+             ])),
+            ("repro_scenarios_completed_total", "counter",
+             "Scenario rows produced, by final status.",
+             _labelled("status", Counter(
+                 str(row.get("status", "unknown")) for row in rows
+             ))),
+            ("repro_dedup_lookups_total", "counter",
+             "Result-store lookups before dispatch.",
+             _labelled("result", {
+                 "hit": self.dedup_hits, "miss": self.dedup_misses,
+             })),
+            ("repro_ensemble_fallbacks_total", "counter",
+             "Scenario rows of ensemble units that fell back to serial "
+             "execution.",
+             [("", sum(1 for row in rows if row.get("ensemble") == "fallback"))]),
+            ("repro_queue_depth", "gauge",
+             "Jobs waiting in the dispatch queue.",
+             [("", sum(1 for job in jobs if job.state == "queued"))]),
+            ("repro_pool_inflight", "gauge",
+             "Units currently executing on pool workers.",
+             [("", self._inflight)]),
+            ("repro_pool_workers", "gauge",
+             "Configured worker-pool size (0 = inline).",
+             [("", self.pool_size)]),
+            ("repro_pool_workers_alive", "gauge",
+             "Worker processes currently alive.",
+             [("", sum(pool.alive()) if pool is not None else 0)]),
+            ("repro_worker_respawns_total", "counter",
+             "Dead worker processes replaced with fresh (cold-cache) ones.",
+             [("", self._respawns if self.pool_size else 0)]),
+            ("repro_scenario_timeouts_total", "counter",
+             "Scenario rows that blew their unit deadline (counted per "
+             "attempt, before any retry).", [("", timeouts)]),
+            ("repro_scenario_retries_total", "counter",
+             "Retried scenario rows (final attempt > 1), by final status.",
+             _labelled("outcome", Counter(
+                 str(row.get("status", "unknown"))
+                 for row in rows if row.get("attempts", 1) > 1
+             ))),
+            ("repro_jobs_rejected_total", "counter",
+             "Submissions rejected by admission control, by reason.",
+             _labelled("reason", rejected)),
+            ("repro_drain_seconds", "gauge",
+             "Duration of the last graceful drain (0 until one happens).",
+             [("", self._drain_seconds or 0)]),
+        )
+        lines: list[str] = []
+        for name, kind, help_text, samples in series:
+            lines.append(f"# HELP {name} {help_text}")
+            lines.append(f"# TYPE {name} {kind}")
+            lines.extend(
+                f"{name}{suffix} {_number(value)}" for suffix, value in samples
+            )
+        return "\n".join(lines) + "\n"
 
     def trace(self, job_id: str) -> list[dict[str, Any]]:
         """The job's merged span list (dispatcher + workers), start-ordered.
@@ -1002,18 +1059,13 @@ class JobService:
             job.unsubscribe(sub)
 
     def _note_row(self, job: Job, row: dict[str, Any], total: int) -> None:
-        """Account one finished scenario row: counters + progress event."""
-        job.completed += 1
+        """Account one finished scenario row: deadline samples + progress event."""
         status = str(row.get("status", "unknown"))
-        self._m_scenarios.inc(status=status)
-        self._m_scenario_duration.observe(float(row.get("duration_s") or 0.0))
         if status == "ok" and not row.get("cached"):
             # Fresh-run durations feed the derived-deadline estimate.
             self._durations.setdefault(
                 str(row.get("family")), deque(maxlen=64)
             ).append(float(row.get("duration_s") or 0.0))
-        if row.get("ensemble") == "fallback":
-            self._m_ensemble_fallbacks.inc()
         job.publish(
             {
                 "event": "scenario",
@@ -1043,12 +1095,13 @@ class JobService:
                 self._finish(job, "failed", error=job.error)
 
     def _finish(self, job: Job, state: str, **event: Any) -> None:
-        """Settle *job* in terminal *state*: metrics, terminal event, waiters."""
-        job.state = state
+        """Settle *job* in terminal *state*: terminal event, waiters.
+
+        ``finished_at`` is set before ``state``: a concurrent scrape
+        that sees a terminal state reads a finished job's duration.
+        """
         job.finished_at = time.time()
-        self._m_jobs_completed.inc(state=state)
-        if job.started_at is not None:
-            self._m_job_duration.observe(job.finished_at - job.started_at)
+        job.state = state
         job.publish({"event": "job", "state": state, **event})
         job.done_event.set()
 
@@ -1065,7 +1118,7 @@ class JobService:
         )
         job.publish({"event": "job", "state": "running"})
         total = len(job.spec.scenarios)
-        rows: dict[int, dict[str, Any]] = {}
+        rows = job.rows
         pending = []
         for scenario in job.spec.scenarios:
             if self.store is not None and not job.cancel_event.is_set():
@@ -1076,9 +1129,7 @@ class JobService:
                     cached["cached"] = True
                     cached["duration_s"] = 0.0
                     rows[scenario.index] = cached
-                    job.dedup_hits += 1
                     self.dedup_hits += 1
-                    self._m_dedup.inc(result="hit")
                     with job.tracer.span(
                         "scenario", parent=job.span, key=scenario.key,
                         cached=True,
@@ -1087,10 +1138,9 @@ class JobService:
                     self._note_row(job, cached, total)
                     continue
                 self.dedup_misses += 1
-                self._m_dedup.inc(result="miss")
             pending.append(scenario)
         if pending:
-            self._run_units(job, pending, rows)
+            self._run_units(job, pending)
         if self.store is not None:
             for scenario in pending:
                 row = rows.get(scenario.index)
@@ -1098,7 +1148,6 @@ class JobService:
                     self.store.put(scenario.result_key(), row)
         ordered = [rows[index] for index in sorted(rows)]
         elapsed = time.time() - job.started_at
-        job.rows = ordered
         job.report = aggregate(
             job.spec, ordered, engine=job.engine, workers=job.workers,
             elapsed_s=elapsed,
@@ -1164,7 +1213,7 @@ class JobService:
 
     # -- execution ------------------------------------------------------
 
-    def _run_units(self, job: Job, pending, rows) -> None:
+    def _run_units(self, job: Job, pending) -> None:
         """Warm-set pull execution across the worker pool.
 
         The one execution path of both modes: inline is a pool of one
@@ -1215,7 +1264,7 @@ class JobService:
 
         def account(row: dict[str, Any]) -> None:
             nonlocal remaining
-            rows[row["index"]] = row
+            job.rows[row["index"]] = row
             self._note_row(job, row, total)
             remaining -= 1
 
@@ -1230,8 +1279,6 @@ class JobService:
             _token, unit, key, attempt, _deadline, _timeout_s = (
                 inflight.pop(i)
             )
-            if status == "timeout":
-                self._m_timeouts.inc(len(unit))
             will_retry = (
                 status in RETRYABLE_STATUSES
                 and attempt <= job.retries
@@ -1275,12 +1322,9 @@ class JobService:
             else:
                 for row in _status_rows(unit, i, status, message):
                     row["attempts"] = attempt
-                    if attempt > 1:
-                        self._m_retries.inc(outcome=status)
                     account(row)
             pool.respawn(i)
-            if self.pool_size:  # inline mode reports no pool
-                self._m_respawns.inc()
+            self._respawns += 1
 
         while remaining:
             if job.cancel_event.is_set():
@@ -1318,7 +1362,7 @@ class JobService:
                 inflight[i] = (token, unit, key, attempt, deadline, timeout_s)
             waiting = still_waiting
             if self.pool_size:  # inline mode reports no pool
-                self._m_inflight.set(len(inflight))
+                self._inflight = len(inflight)
             try:
                 result = pool.results.get(timeout=_POLL_S)
             except queue.Empty:
@@ -1353,9 +1397,5 @@ class JobService:
             job.worker_spans.extend(spans)
             for row in unit_rows:
                 row["attempts"] = attempt
-                if attempt > 1:
-                    self._m_retries.inc(
-                        outcome=str(row.get("status", "unknown"))
-                    )
                 account(row)
-        self._m_inflight.set(0)
+        self._inflight = 0

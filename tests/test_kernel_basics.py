@@ -107,15 +107,6 @@ class TestSignal:
         sig = Signal("s", init=7)
         assert sig.set(7) is False
 
-    def test_touched_tracking(self):
-        sig = Signal("s")
-        sig.clear_touched()
-        assert not sig.touched
-        sig.set(1)
-        assert sig.touched
-        sig.clear_touched()
-        assert not sig.touched
-
     def test_double_driver_rejected(self):
         sig = Signal("s")
         a = Component("a")

@@ -1,4 +1,4 @@
-"""The observability layer: metrics registry, tracer, kernel profiler.
+"""The observability layer: exposition format, tracer, kernel profiler.
 
 The profiler tests pin its hard contract differentially: a profiled run
 must be *bit-identical* to an unprofiled one (same cycles, same sink
@@ -16,15 +16,7 @@ import pytest
 
 from repro.core import FullMEB
 from repro.kernel import Simulator
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    KernelProfiler,
-    MetricsRegistry,
-    NullTracer,
-    Tracer,
-)
+from repro.obs import KernelProfiler, NullTracer, Tracer
 from repro.sweep.families import make_mt_bursty, make_mt_pipeline
 from repro.sweep.report import canonical_report
 from repro.sweep.runner import run_campaign
@@ -34,7 +26,8 @@ ENGINES = ("naive", "compiled")
 
 
 # ----------------------------------------------------------------------
-# metrics registry
+# Prometheus exposition (JobService.render_metrics; tests in
+# test_resilience.py, which has the fault-injecting families)
 # ----------------------------------------------------------------------
 
 #: One Prometheus text-format sample line: name{labels} value
@@ -59,86 +52,6 @@ def _assert_valid_exposition(text: str) -> None:
         assert name in declared or base in declared, (
             f"sample {name} has no HELP/TYPE header"
         )
-
-
-class TestMetrics:
-    def test_counter_inc_and_render(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_test_total", "A test counter.")
-        c.inc()
-        c.inc(2.5)
-        assert c.value() == 3.5
-        text = reg.render()
-        assert "# TYPE repro_test_total counter" in text
-        assert "repro_test_total 3.5" in text
-        _assert_valid_exposition(text)
-
-    def test_counter_rejects_negative(self):
-        c = Counter("repro_neg_total", "x")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_labelled_counter_series(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_rows_total", "Rows.", labelnames=("status",))
-        c.inc(status="ok")
-        c.inc(status="ok")
-        c.inc(status="error")
-        text = reg.render()
-        assert 'repro_rows_total{status="ok"} 2' in text
-        assert 'repro_rows_total{status="error"} 1' in text
-        assert c.value(status="ok") == 2
-        _assert_valid_exposition(text)
-
-    def test_label_value_escaping(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_esc_total", "x", labelnames=("k",))
-        c.inc(k='quote " slash \\ newline \n')
-        text = reg.render()
-        assert '\\"' in text and "\\\\" in text and "\\n" in text
-        _assert_valid_exposition(text)
-
-    def test_gauge_set_inc_dec(self):
-        g = Gauge("repro_depth", "x")
-        g.set(4)
-        g.inc()
-        g.dec(2)
-        assert g.value() == 3
-
-    def test_histogram_buckets_cumulative(self):
-        reg = MetricsRegistry()
-        h = reg.histogram(
-            "repro_lat_seconds", "x", buckets=(0.1, 1.0, 10.0)
-        )
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(v)
-        text = reg.render()
-        assert 'repro_lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_seconds_bucket{le="1"} 3' in text
-        assert 'repro_lat_seconds_bucket{le="10"} 4' in text
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 5' in text
-        assert "repro_lat_seconds_count 5" in text
-        assert "repro_lat_seconds_sum 56.05" in text
-        assert h.count() == 5
-        _assert_valid_exposition(text)
-
-    def test_registry_idempotent_and_type_conflicts(self):
-        reg = MetricsRegistry()
-        a = reg.counter("repro_same_total", "x")
-        assert reg.counter("repro_same_total", "x") is a
-        assert reg.get("repro_same_total") is a
-        with pytest.raises(ValueError):
-            reg.gauge("repro_same_total", "x")
-
-    def test_invalid_names_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("0bad", "x")
-        with pytest.raises(ValueError):
-            reg.counter("repro_ok_total", "x", labelnames=("0bad",))
-
-    def test_content_type_constant(self):
-        assert MetricsRegistry.CONTENT_TYPE.startswith("text/plain")
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 import types
@@ -40,6 +41,7 @@ from repro.sweep.registry import (
 from repro.sweep.report import canonical_report
 from repro.sweep.spec import SpecError, from_dict, make_scenario
 from repro.sweep.store import ResultStore
+from tests.test_obs import _assert_valid_exposition
 
 #: ``serve_forever`` poll interval for test servers: ``shutdown()``
 #: waits up to one interval, and the 0.5 s default dominated teardown.
@@ -595,6 +597,194 @@ class TestGracefulDrain:
         finally:
             gate.set()
             service.close()
+
+
+def _run_raise(handle, scenario):
+    raise ValueError("deliberate design error")
+
+
+#: Every series of ``render_metrics`` and its Prometheus type.
+METRIC_SERIES = {
+    "repro_jobs_submitted_total": "counter",
+    "repro_jobs_completed_total": "counter",
+    "repro_job_duration_seconds": "histogram",
+    "repro_scenario_duration_seconds": "histogram",
+    "repro_scenarios_completed_total": "counter",
+    "repro_dedup_lookups_total": "counter",
+    "repro_ensemble_fallbacks_total": "counter",
+    "repro_queue_depth": "gauge",
+    "repro_pool_inflight": "gauge",
+    "repro_pool_workers": "gauge",
+    "repro_pool_workers_alive": "gauge",
+    "repro_worker_respawns_total": "counter",
+    "repro_scenario_timeouts_total": "counter",
+    "repro_scenario_retries_total": "counter",
+    "repro_jobs_rejected_total": "counter",
+    "repro_drain_seconds": "gauge",
+}
+
+
+def _samples(text: str) -> dict[str, float]:
+    """``name{labels}`` -> value for every sample line of a scrape."""
+    return {
+        key: float(value)
+        for key, value in (
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if not line.startswith("#")
+        )
+    }
+
+
+class TestMetricsExposition:
+    """``render_metrics`` derives every series from the service's state."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_stream_covers_every_series(
+        self, tmp_path, temp_family, unblock_hung, workers
+    ):
+        if workers == 2 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool tests rely on fork inheritance")
+        temp_family(Family(
+            name="_hangs_once", build=_build_tiny_chain,
+            run=_run_hang_once, reusable=False,
+        ))
+        temp_family(Family(
+            name="_raises", build=_build_tiny_chain, run=_run_raise,
+            reusable=False,
+        ))
+        spec = {
+            "campaign": {"name": "metrics", "seed": 4},
+            "scenarios": [
+                {"family": "_hangs_once", "timeout_s": 0.75},
+                {"family": "_raises"},
+                {
+                    "family": "mt_chain",
+                    "params": {"threads": 2, "n_funcs": 1},
+                    "stimulus": {"kind": "uniform", "items_per_thread": 3},
+                },
+            ],
+        }
+        _HANG_ONCE_MARKER[0] = str(tmp_path / "hung-once")
+        try:
+            with JobService(
+                workers=workers, store=True, retries=1,
+                max_scenarios_per_job=3,
+            ) as service:
+                # Timeout, retry to ok, one error row; then the same
+                # spec again: two cached rows and the error re-run.
+                service.result(service.submit(spec), timeout=120)
+                service.result(service.submit(spec), timeout=120)
+                with pytest.raises(QuotaError):
+                    service.submit({
+                        "campaign": {"name": "big", "seed": 2},
+                        "scenarios": [{
+                            "family": "mt_chain",
+                            "grid": {"threads": [2, 4, 8, 16]},
+                        }],
+                    })
+                text = service.render_metrics()
+                stats = service.stats()
+        finally:
+            _HANG_ONCE_MARKER[0] = ""
+        _assert_valid_exposition(text)
+        lines = text.splitlines()
+        for name, kind in METRIC_SERIES.items():
+            assert any(line.startswith(f"# HELP {name} ") for line in lines)
+            assert f"# TYPE {name} {kind}" in lines
+        samples = _samples(text)
+        for name, count in (
+            ("repro_scenario_duration_seconds", 6),
+            ("repro_job_duration_seconds", 2),
+        ):
+            buckets = [
+                value for key, value in samples.items()
+                if key.startswith(f"{name}_bucket{{")
+            ]
+            assert buckets == sorted(buckets), f"{name} not cumulative"
+            assert buckets[-1] == samples[f'{name}_bucket{{le="+Inf"}}']
+            assert samples[f"{name}_count"] == count == buckets[-1]
+        assert samples["repro_jobs_submitted_total"] == 2
+        assert samples['repro_jobs_completed_total{state="done"}'] == 2
+        assert samples['repro_scenarios_completed_total{status="ok"}'] == 4
+        assert samples['repro_scenarios_completed_total{status="error"}'] == 2
+        assert samples["repro_scenario_timeouts_total"] == 1
+        assert samples['repro_scenario_retries_total{outcome="ok"}'] == 1
+        assert samples["repro_ensemble_fallbacks_total"] == 0
+        assert samples["repro_pool_inflight"] == 0
+        assert samples["repro_drain_seconds"] == 0
+        # Everything stats() also reports reads the same.
+        assert samples['repro_dedup_lookups_total{result="hit"}'] == (
+            stats["dedup"]["hits"]
+        ) == 2
+        assert samples['repro_dedup_lookups_total{result="miss"}'] == (
+            stats["dedup"]["misses"]
+        ) == 4
+        assert stats["admission"]["rejected"] == {"too_many_scenarios": 1}
+        assert samples[
+            'repro_jobs_rejected_total{reason="too_many_scenarios"}'
+        ] == 1
+        assert samples["repro_worker_respawns_total"] == (
+            stats["workers"]["respawns"]
+        ) == (1 if workers else 0)
+        assert samples["repro_pool_workers_alive"] == (
+            sum(stats["workers"]["alive"])
+        )
+        assert samples["repro_queue_depth"] == stats["queue_depth"] == 0
+        assert samples["repro_pool_workers"] == (
+            stats["workers"]["configured"]
+        ) == (2 if workers else 0)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_scrape_while_job_runs(self, workers):
+        if workers == 2 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool tests rely on fork inheritance")
+        spec = {
+            "campaign": {"name": "scraped", "seed": 6},
+            "scenarios": [{
+                "family": "mt_chain",
+                "grid": {"threads": [2, 4], "n_funcs": [1, 2, 3]},
+                "stimulus": {"kind": "uniform", "items_per_thread": 20},
+            }],
+        }
+        errors: list[BaseException] = []
+        completed: list[float] = []
+        stop = threading.Event()
+
+        def scrape(service):
+            while not stop.is_set():
+                try:
+                    samples = _samples(service.render_metrics())
+                except BaseException as exc:  # noqa: BLE001 - reported
+                    errors.append(exc)
+                    return
+                completed.append(sum(
+                    value for key, value in samples.items()
+                    if key.startswith("repro_scenarios_completed_total")
+                ))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave scrapes and dispatch finely
+        try:
+            with JobService(workers=workers) as service:
+                scraper = threading.Thread(target=scrape, args=(service,))
+                scraper.start()
+                try:
+                    report = service.result(
+                        service.submit(spec), timeout=120
+                    )
+                finally:
+                    stop.set()
+                    scraper.join(timeout=30)
+                final = _samples(service.render_metrics())
+        finally:
+            sys.setswitchinterval(switch)
+        assert not scraper.is_alive()
+        assert not errors, errors
+        assert completed and completed == sorted(completed)
+        assert report["summary"]["ok"] == 6
+        assert final['repro_scenarios_completed_total{status="ok"}'] == 6
+        assert final["repro_job_duration_seconds_count"] == 1
 
 
 class TestStoreCrashSafety:
