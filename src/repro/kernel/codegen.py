@@ -1,12 +1,12 @@
 """Per-process cache of the kernel's compiled generated code.
 
-The compiled settle engine (fused straight-line regions, see
-:mod:`repro.kernel.engine`) and the seq store (the fused tick driver,
-see :mod:`repro.kernel.slots`) generate Python source for every design
-they build.  That source *names* every per-design value — slot ranges,
-component indices, plan objects, step callables — instead of printing
-it, and each design binds those names in the namespace (or factory
-arguments) the code runs with.  The text therefore depends only on the
+The simulator generates one Python source per design it builds: the
+per-cycle function that inlines the compiled settle program (see
+:mod:`repro.kernel.engine`) and the tick plans' sweeps (see
+:mod:`repro.kernel.slots`).  That source *names* every per-design
+value — slot ranges, component indices, plan objects, step callables —
+instead of printing it, and each design binds those names in the
+namespace the code runs with.  The text therefore depends only on the
 design's shape, so designs that differ only in thread count, depth or
 slot layout share one code object: a sweep compiles each shape once per
 process instead of once per build.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from time import perf_counter
 from types import CodeType
 from typing import Any
 
@@ -40,8 +41,10 @@ def compile_source(source: str) -> CodeType:
 
 def exec_generated(source: str, namespace: dict[str, Any]) -> dict[str, Any]:
     """Run generated *source* in *namespace* (through the cache); return it."""
+    start = perf_counter()
     _tally.runs = getattr(_tally, "runs", 0) + 1
     exec(compile_source(source), namespace)  # noqa: S102 - trusted codegen
+    _tally.seconds = getattr(_tally, "seconds", 0.0) + perf_counter() - start
     return namespace
 
 
@@ -53,3 +56,9 @@ def codegen_counts() -> tuple[int, int]:
     """
     compiled = getattr(_tally, "compiled", 0)
     return compiled, getattr(_tally, "runs", 0) - compiled
+
+
+def codegen_seconds() -> float:
+    """Wall seconds the calling thread has spent in :func:`exec_generated`
+    (compile on a cache miss, plus exec) so far; difference two readings."""
+    return getattr(_tally, "seconds", 0.0)

@@ -16,12 +16,13 @@ oracle)
     the recorded signal drivers, collapses it into strongly connected
     components, and orders the SCC condensation topologically
     (:mod:`repro.graphs`).  Every signal is assigned a slot in a flat
-    list-backed value store (:mod:`repro.kernel.slots`); each maximal
-    run of acyclic SCCs is fused into **one generated straight-line
-    function** (compiled once per region length and process, see
-    :mod:`repro.kernel.codegen`), and cyclic regions (combinational
-    handshake loops such as lazy-fork/join meshes or the elastic rings
-    of the MD5 and processor apps) iterate a **dirty-set worklist** to a
+    list-backed value store (:mod:`repro.kernel.slots`).  The whole
+    schedule is emitted as **straight-line source** that the simulator
+    inlines into its generated per-cycle function (see
+    :meth:`CompiledEngine.settle_source`): acyclic members cost one
+    set probe each, and cyclic regions (combinational handshake loops
+    such as lazy-fork/join meshes or the elastic rings of the MD5 and
+    processor apps) iterate an unrolled **dirty-set worklist** to a
     local fixed point.  Component evaluations come from
     :meth:`Component.compile_comb` where available — slot-indexed,
     batch-vectorized closures (an MEB reads its S downstream readies as
@@ -42,7 +43,6 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.graphs import condensation_order
-from repro.kernel.codegen import exec_generated
 from repro.kernel.component import Component
 from repro.kernel.errors import ConvergenceError
 from repro.kernel.signal import Signal
@@ -144,9 +144,18 @@ class NaiveEngine:
                 return iteration
         raise ConvergenceError(cycle, self._max_iterations, changed)
 
+    def settle_source(self, ns: dict[str, Any]) -> tuple[list[str], str]:
+        """The cycle function's settle step: one call of :meth:`settle`."""
+        ns["_E"] = self
+        return ["    _it = _E.settle(cycle)"], "_it"
+
+    def seed_size(self) -> int:
+        """Components evaluated per settle pass (the profiler's seed)."""
+        return len(self._components)
+
 
 class CompiledEngine:
-    """Slot-compiled settling: fused straight-line regions + int worklists.
+    """Slot-compiled settling: unrolled straight-line probes + int worklists.
 
     Scheduling contract.  A settle evaluates only what may have moved.
     It is seeded from the cross-cycle *stale* set: a component lands
@@ -171,12 +180,13 @@ class CompiledEngine:
       readers marked per *block* rather than per signal — falling back
       to the plain ``combinational()`` method otherwise (whose
       ``Signal.set`` writes keep signal-precise marking);
-    * maximal runs of acyclic SCCs are fused into one generated
-      function whose member indices and steps are bound as closure
-      cells: a clean member costs one set-membership probe, a dirty one
-      is invoked directly, and the code object is shared by every
-      region of the same length (:mod:`repro.kernel.codegen`);
-    * cyclic SCCs iterate the dirty-set worklist over component ints.
+    * the schedule is emitted as source (:meth:`settle_source`) that
+      the simulator inlines into its per-cycle function: a clean member
+      costs one set-membership probe, a dirty one is invoked directly,
+      and member indices and steps are namespace names, so designs of
+      one shape share a code object (:mod:`repro.kernel.codegen`);
+    * cyclic SCCs iterate the dirty-set worklist over component ints,
+      unrolled in the same source.
     """
 
     name = "compiled"
@@ -220,8 +230,11 @@ class CompiledEngine:
         # id(sig) -> (sig, value at its first change this pass).  Net
         # change is judged against these baselines, so a transient
         # clear-then-set within one evaluation does not count as
-        # instability (the naive engine's snapshot semantics).
+        # instability (the naive engine's snapshot semantics).  One
+        # dict, cleared in place at the start of every pass.
         self._pass_base: dict[int, tuple[Signal, Any]] = {}
+        #: Region outputs when an SCC reached its budget (diagnostics).
+        self._snap: list[Any] = []
         for sig in signals:
             sig._engine = self
             sig._readers = tuple(readers.get(id(sig), ()))
@@ -233,9 +246,9 @@ class CompiledEngine:
         # slot-compiled closure, or plain combinational() (whose writes
         # mark readers through Signal.set -> note_change).  With a
         # profiler attached, every step is wrapped in a timing closure
-        # *before* region fusion below, so the generated straight-line
-        # code binds the instrumented steps — and a rebuild without the
-        # profiler binds the plain ones again (same compiled code).
+        # before the schedule is emitted, so the generated cycle
+        # function binds the instrumented steps — and a rebuild without
+        # the profiler binds the plain ones again (same compiled code).
         steps: list[Callable[[], Any]] = [
             comp.compile_comb(store) or comp.combinational
             for comp in active
@@ -263,93 +276,137 @@ class CompiledEngine:
             if writer is not None:
                 out_slots[writer].append(store.slot(sig))
 
-        # Fuse maximal runs of acyclic groups into straight-line code;
-        # keep cyclic SCCs as worklist regions.  `regions` mirrors the
-        # program for introspection/profiling: one entry per compiled
-        # region with its member component paths.
-        groups = condensation_order(succ)
-        program: list[tuple[str, Any]] = []
-        regions: list[dict] = []
-        pending: list[int] = []  # acyclic member indices awaiting fusion
-
-        def flush() -> None:
-            if pending:
-                program.append(
-                    ("line", self._fuse([steps[i] for i in pending],
-                                        pending))
-                )
-                regions.append(
-                    {
-                        "kind": "line",
-                        "members": [active[i].path for i in pending],
-                    }
-                )
-                del pending[:]
-
-        for grp in groups:
-            cyclic = len(grp) > 1 or grp[0] in succ[grp[0]]
-            if not cyclic:
-                pending.append(grp[0])
+        # Maximal runs of acyclic groups become straight-line probes;
+        # cyclic SCCs stay worklist regions.  Each program entry is
+        # (kind, member indices, output slots); `regions` mirrors it for
+        # introspection/profiling with component paths.
+        program: list[tuple[str, list[int], list[int]]] = []
+        for grp in condensation_order(succ):
+            if len(grp) == 1 and grp[0] not in succ[grp[0]]:
+                if program and program[-1][0] == "line":
+                    program[-1][1].append(grp[0])
+                else:
+                    program.append(("line", [grp[0]], []))
                 continue
-            flush()
             # Keep the condensation's member order: these handshake
             # loops contain probing arbiters whose convergence is
             # order-sensitive, and this order is the one the
             # differential suite has proven out.
             members = list(grp)
-            member_set = frozenset(members)
-            region_out = sorted(
-                {s for i in members for s in out_slots[i]}
-            )
-            program.append((
-                "scc",
-                (
-                    members,
-                    [steps[i] for i in members],
-                    member_set,
-                    region_out,
-                ),
-            ))
-            regions.append(
-                {
-                    "kind": "scc",
-                    "members": [active[i].path for i in members],
-                }
-            )
-        flush()
+            outs = sorted({s for i in members for s in out_slots[i]})
+            program.append(("scc", members, outs))
         self._program = program
         #: Compiled-region table, program order: ``{"kind": "line"|"scc",
         #: "members": [component paths]}`` per region.
-        self.regions = regions
+        self.regions = [
+            {"kind": kind, "members": [active[i].path for i in members]}
+            for kind, members, _out in program
+        ]
 
-    def _fuse(
-        self, steps: Sequence[Callable[[], Any]], indices: Sequence[int]
-    ) -> Callable[[], None]:
-        """Generate one straight-line function sweeping *steps* in order.
+    def settle_source(self, ns: dict[str, Any]) -> tuple[list[str], str]:
+        """Emit the settle program as function-body lines over ``cycle``.
 
-        Each member costs one set-membership test when clean and is
-        invoked directly when dirty, with no loop bookkeeping, no
-        indirection through member lists and no per-member Python frames
-        besides the evaluation itself.  Member ``k``'s engine index and
-        step are the factory arguments ``_k{k}`` and ``_s{k}`` (closure
-        cells of the returned function), so the source depends only on
-        the region's length and regions of one length share a code
-        object (:mod:`repro.kernel.codegen`).  A dirty mark placed by an
-        earlier member in the same run is consumed by the in-order
-        evaluation; a write *backwards* (only possible through an
-        undeclared driver relationship) leaves its mark standing and
-        triggers a whole-design resweep.
+        Returns the lines and the expression of the iteration count
+        (whole-design passes or the deepest SCC sweep count, whichever
+        is larger).  Every member becomes
+        ``if _kN in _D: _D.discard(_kN); _sN()`` in program order, and
+        each cyclic SCC wraps its members in a ``while`` over its member
+        set (Gauss-Seidel: dirtiness is checked at visit time, so a
+        member dirtied mid-sweep by an earlier one runs in the same
+        sweep).  A dirty mark placed by an earlier member is consumed by
+        the in-order evaluation; a write *backwards* (only possible
+        through an undeclared driver relationship) leaves its mark
+        standing and triggers a whole-design resweep.  Member ``n``'s
+        engine index and step are the names ``_kN`` and ``_sN`` in *ns*,
+        so the text depends only on the program's shape.
         """
-        n = len(steps)
-        params = [f"_s{k}" for k in range(n)] + [f"_k{k}" for k in range(n)]
-        lines = [f"def _make(_D, {', '.join(params)}):", "    def _run():"]
-        for k in range(n):
-            lines.append(f"        if _k{k} in _D:")
-            lines.append(f"            _D.discard(_k{k})")
-            lines.append(f"            _s{k}()")
-        lines.append("    return _run")
-        namespace = exec_generated("\n".join(lines), {})
-        return namespace["_make"](self._dirty, *steps, *indices)
+        ns.update(
+            _D=self._dirty, _stale=self._stale, _E=self,
+            _B=self._pass_base, _N=self._max_iterations,
+        )
+        # Seed: components whose state changed at the last commit (or
+        # that cannot prove otherwise), volatile components, externally
+        # poked readers, plus anything left over from an aborted settle.
+        # Everything else still holds correct settled outputs from the
+        # previous cycle and is skipped at one set-probe of cost.
+        lines = ["    if _stale:", "        _D.update(_stale)",
+                 "        _stale.clear()"]
+        if self._volatile:
+            ns["_vol"] = self._volatile
+            lines.append("    _D.update(_vol)")
+        lines += [
+            "    _E.recording = True",
+            "    try:",
+            "        _p = 0",
+            "        _w = 1",
+            "        while True:",
+            "            _p += 1",
+            "            if _p > _N:",
+            "                _E._diverged(cycle)",
+            "            if _B:",
+            "                _B.clear()",
+        ]
+        n = 0
+        for r, (kind, members, _out) in enumerate(self._program):
+            pad = " " * 12
+            if kind == "scc":
+                ns[f"_g{r}"] = frozenset(members)
+                lines += [
+                    f"{pad}_l = 0",
+                    f"{pad}while not _D.isdisjoint(_g{r}):",
+                    f"{pad}    _l += 1",
+                    f"{pad}    if _l >= _N:",
+                    f"{pad}        _E._scc_budget({r}, _l, cycle)",
+                ]
+                pad += "    "
+            for i in members:
+                ns[f"_k{n}"], ns[f"_s{n}"] = i, self._steps[i]
+                lines += [f"{pad}if _k{n} in _D:",
+                          f"{pad}    _D.discard(_k{n})",
+                          f"{pad}    _s{n}()"]
+                n += 1
+            if kind == "scc":
+                lines += ["            if _l > _w:", "                _w = _l"]
+        if self._opaque:
+            ns["_opq"] = tuple(self._opaque_evals)
+            lines += [
+                "            for _f in _opq:",
+                "                _f()",
+                "            if not _D and not _E._net_changed(_B):",
+                "                break",
+            ]
+        else:  # a mark left standing is an undeclared backward write
+            lines += ["            if not _D:", "                break"]
+        lines += ["    finally:", "        _E.recording = False"]
+        return lines, "(_p if _p > _w else _w)"
+
+    def _diverged(self, cycle: int) -> None:
+        """Raise: whole-design passes exhausted the budget."""
+        raise ConvergenceError(
+            cycle, self._max_iterations, self._net_changed(self._pass_base)
+        )
+
+    def _scc_budget(self, region: int, local: int, cycle: int) -> None:
+        """An SCC sweep count reached the budget: snapshot, then raise.
+
+        At the last allowed sweep the region's outputs are recorded;
+        one sweep later the ones still moving are named in the
+        :class:`ConvergenceError`.
+        """
+        out_slots = self._program[region][2]
+        values = self._values
+        if local == self._max_iterations:
+            self._snap = [values[s] for s in out_slots]
+            return
+        raise ConvergenceError(cycle, self._max_iterations, [
+            self._store.name_of(s)
+            for s, old in zip(out_slots, self._snap)
+            if not same_value(values[s], old)
+        ])
+
+    def seed_size(self) -> int:
+        """Components this settle starts from (the profiler's seed)."""
+        return len(self._stale | self._dirty | set(self._volatile))
 
     # ------------------------------------------------------------------
     # change notification (called by Signal.set)
@@ -392,7 +449,7 @@ class CompiledEngine:
 
     @property
     def stale_set(self) -> set[int]:
-        """The live cross-cycle stale set (for the fused tick driver)."""
+        """The live cross-cycle stale set (for the generated tick sweeps)."""
         return self._stale
 
     @property
@@ -407,97 +464,6 @@ class CompiledEngine:
             sig.name
             for sig, old in base.values()
             if not same_value(sig.value, old)
-        ]
-
-    # ------------------------------------------------------------------
-    # settle
-    # ------------------------------------------------------------------
-    def settle(self, cycle: int) -> int:
-        budget = self._max_iterations
-        dirty = self._dirty
-        # Seed: components whose state changed at the last commit (or
-        # that cannot prove otherwise), volatile components, externally
-        # poked readers, plus anything left over from an aborted settle.
-        # Everything else still holds correct settled outputs from the
-        # previous cycle and is skipped at one set-probe of cost.
-        stale = self._stale
-        if stale:
-            dirty.update(stale)
-            stale.clear()
-        dirty.update(self._volatile)
-        self.recording = True
-        self._pass_base = {}
-        worst_local = 1
-        passes = 0
-        try:
-            while True:
-                passes += 1
-                if passes > budget:
-                    raise ConvergenceError(
-                        cycle, budget, self._net_changed(self._pass_base)
-                    )
-                self._pass_base = {}
-                for kind, payload in self._program:
-                    if kind == "line":
-                        payload()
-                    else:
-                        local = self._run_scc(payload, cycle, budget)
-                        if local > worst_local:
-                            worst_local = local
-                if not self._opaque:
-                    if not dirty:
-                        return max(passes, worst_local)
-                    continue  # undeclared backward write: resweep
-                for evaluate in self._opaque_evals:
-                    evaluate()
-                if not dirty and not self._net_changed(self._pass_base):
-                    return max(passes, worst_local)
-        finally:
-            self.recording = False
-
-    def _run_scc(self, region: tuple, cycle: int, budget: int) -> int:
-        """Iterate one cyclic SCC to a local fixed point (Gauss-Seidel).
-
-        Seeded from the cross-cycle stale set; a member is then re-swept
-        only while one of its declared inputs actually changed —
-        compiled steps mark the affected readers block-wise through the
-        store's reader map, plain ``combinational()`` members mark them
-        signal-wise through ``Signal.set`` -> note_change.  Dirtiness is
-        checked at visit time so a member dirtied mid-sweep by an
-        earlier member is evaluated in the *same* sweep, keeping value
-        propagation coherent along the ring.
-        """
-        members, steps, member_set, out_slots = region
-        dirty = self._dirty
-        values = self._values
-        local = 0
-        snap: list[Any] | None = None
-        while not dirty.isdisjoint(member_set):
-            local += 1
-            if local > budget:
-                raise ConvergenceError(
-                    cycle, budget, self._unstable(out_slots, snap)
-                )
-            if local == budget:
-                snap = [values[s] for s in out_slots]
-            for pos, i in enumerate(members):
-                if i in dirty:
-                    dirty.discard(i)
-                    steps[pos]()
-        return local
-
-    def _unstable(
-        self, out_slots: Sequence[int], snap: Sequence[Any] | None
-    ) -> list[str]:
-        """Names of region outputs still moving when the budget ran out."""
-        store = self._store
-        if snap is None:  # pragma: no cover - budget < 2 degenerate case
-            return [store.name_of(s) for s in out_slots]
-        values = self._values
-        return [
-            store.name_of(s)
-            for s, old in zip(out_slots, snap)
-            if not same_value(values[s], old)
         ]
 
 

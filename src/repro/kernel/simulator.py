@@ -36,9 +36,9 @@ engine (:mod:`repro.kernel.engine`), chosen per simulator:
 
 * ``engine="compiled"`` (default) — signals are flattened into a
   slot-indexed value store (:mod:`repro.kernel.slots`) at finalize time;
-  maximal acyclic runs of the declared dependency graph are fused into
-  generated straight-line functions and combinational cycles run a
-  dirty-set worklist over component ints.  Hot components supply
+  the declared dependency graph is unrolled into generated
+  straight-line code and combinational cycles run a dirty-set
+  worklist over component ints.  Hot components supply
   vectorized slot-level evaluations via
   :meth:`~repro.kernel.component.Component.compile_comb`; everything
   else falls back to its plain ``combinational()`` transparently.
@@ -54,6 +54,10 @@ The default can also be set process-wide through the
 ``REPRO_SIM_ENGINE`` environment variable, which is how the differential
 suite replays unmodified examples under every engine.
 
+Both engines run each cycle through one function generated per
+design (:meth:`Simulator._compile_cycle`): the settle phase, the
+``until`` check, the observers and the tick, inlined in that order.
+
 All engines produce identical settled values, identical
 :class:`ConvergenceError` diagnostics on true combinational loops, and
 identical race-free capture/commit ordering; only the work per cycle
@@ -67,8 +71,10 @@ registration order) and a cycle counter.
 from __future__ import annotations
 
 import os
+from time import perf_counter
 from typing import Any, Callable
 
+from repro.kernel.codegen import exec_generated
 from repro.kernel.component import Component
 from repro.kernel.engine import ENGINES, make_engine
 
@@ -170,8 +176,10 @@ class Simulator:
         self._observers: list[Callable[["Simulator"], None]] = []
         self._engine: Any = None
         self._seq: SeqStore | None = None
-        self._seq_capture: Callable[[int], None] | None = None
-        self._seq_commit: Callable[[], None] | None = None
+        # This build's generated functions (see _compile_cycle).
+        self._cycle_fn: Callable[[int, Any], Any] | None = None
+        self._settle_fn: Callable[[int], int] | None = None
+        self._tick_source = ""
         self._snapshot_hooks: list[
             tuple[Callable[[], Any], Callable[[Any], None]]
         ] = []
@@ -272,10 +280,9 @@ class Simulator:
                 if plan is not None:
                     if profiler is not None:
                         # Timing hooks are wrapped into the plan *before*
-                        # compile_driver generates the fused tick sweep,
-                        # so a profiled build binds the timed callables
-                        # into the sweep's namespace (sharing the
-                        # unprofiled build's compiled code) — nothing
+                        # compile_driver emits the tick sweeps, so a
+                        # profiled build binds the timed callables into
+                        # the cycle function's namespace — nothing
                         # branches on the profiler at cycle time.
                         path = plan.component.path
                         plan.capture = profiler.wrap_tick_capture(
@@ -324,18 +331,95 @@ class Simulator:
             for c in self._commit_list
             if id(c) not in tracked and id(c) not in seq_ids
         ]
-        if self._seq is not None:
-            # Fuse the whole schedule into generated capture/commit
-            # sweeps with the engine's stale bookkeeping inlined; the
-            # per-design slot ranges and engine indices are namespace
-            # names, so one code object serves every design of a shape.
-            self._seq_capture, self._seq_commit = self._seq.compile_driver(
-                self._engine.stale_set, self._engine.component_index
-            )
-        else:
-            self._seq_capture = self._seq_commit = None
+        self._compile_cycle()
         if profiler is not None:
-            profiler.instrument_engine(self._engine)
+            profiler.bind_engine(self._engine)
+
+    def _compile_cycle(self) -> None:
+        """Generate this build's per-cycle function and its settle sibling.
+
+        One generated source defines ``_cycle(cycle, until)`` and
+        ``_settle(cycle)``.  ``_cycle`` inlines, in order: the engine's
+        settle program (for the compiled engine its line-region probes
+        and unrolled SCC worklists), the ``until`` check, the observers,
+        the tick plans' capture sweep, the legacy per-component captures
+        and commits (emitted only when present), the plans' commit sweep
+        and the cycle count.  A profiled build also gets its settle and
+        tick phase timers emitted into both functions.  Every per-design
+        value is a name in the design's own namespace, so designs of one
+        shape share one code object (:mod:`repro.kernel.codegen`).
+
+        The function is per cycle, not per run, so CPython's adaptive
+        interpreter specializes it after a few cycles of any run.  A
+        rebuild marks the replaced namespace ``_gone``; a replaced
+        function that notices it after its observers hands the rest of
+        the cycle to :meth:`_resume`.
+        """
+        if self._cycle_fn is not None:
+            self._cycle_fn.__globals__["_gone"] = True
+        engine, profiler = self._engine, self._profiler
+        ns: dict[str, Any] = {
+            "_sim": self, "_obs": self._observers, "_gone": False,
+        }
+        settle, iterations = engine.settle_source(ns)
+        tick: list[str] = []
+        commit: list[str] = []
+        if self._seq is not None:
+            tick, commit = self._seq.compile_driver(
+                ns, engine.stale_set, engine.component_index
+            )
+        if self._captures:
+            ns["_caps"] = self._captures
+            tick += ["    for _f in _caps:", "        _f()"]
+        if self._plain_commits:
+            ns["_coms"] = self._plain_commits
+            tick += ["    for _f in _coms:", "        _f()"]
+        if self._noted_commits:
+            # False lets the engine skip the component's next settle.
+            ns["_noted"], ns["_note"] = self._noted_commits, self._note_state
+            tick += ["    for _c, _f in _noted:",
+                     "        if _f() is not False:", "            _note(_c)"]
+        tick += commit + ["    _sim.cycle = cycle + 1"]
+        timer: list[str] = []
+        if profiler is not None:  # the tick phase times the observers too
+            ns.update(_perf=perf_counter, _P=profiler,
+                      _seed=engine.seed_size)
+            settle = [
+                "    _t = _perf()", "    _n = _seed()", *settle,
+                f"    _P.settled(_perf() - _t, {iterations}, _n)",
+            ]
+            timer = ["    _t = _perf()"]
+            tick.append("    _P.ticked(_perf() - _t)")
+        self._tick_source = "\n".join(["def _tick(cycle):", *timer, *tick])
+        observe = [
+            "    if until is not None and until(_sim):",
+            "        return True",
+            *timer,
+            "    for _o in _obs:",
+            "        _o(_sim)",
+            "    if _gone:",
+            "        return _sim._resume()",
+            "    cycle = _sim.cycle",
+        ]
+        exec_generated("\n".join([
+            "def _settle(cycle):", *settle, f"    return {iterations}",
+            "def _cycle(cycle, until):", *settle, *observe, *tick,
+        ]), ns)
+        self._cycle_fn, self._settle_fn = ns["_cycle"], ns["_settle"]
+
+    def _resume(self) -> None:
+        """Finish a cycle whose build was replaced mid-cycle.
+
+        An ``until`` predicate or an observer may ``reset()``,
+        ``rebuild()`` or attach a profiler; the old plans then bind a
+        stale seq store, so the capture/commit sweeps run on the new
+        build here, at the (possibly reset) cycle count — the phase
+        order of an uninterrupted cycle.  Compiled on first use.
+        """
+        ns = self._cycle_fn.__globals__
+        if "_tick" not in ns:
+            exec_generated(self._tick_source, ns)
+        ns["_tick"](self.cycle)
 
     # ------------------------------------------------------------------
     # profiling
@@ -367,7 +451,6 @@ class Simulator:
             invalidate_all = getattr(self._engine, "invalidate_all", None)
             if invalidate_all is not None:
                 invalidate_all()
-        profiler.instrument_sim(self)
         return profiler
 
     def detach_profiler(self) -> Any:
@@ -384,7 +467,6 @@ class Simulator:
         profiler = self._profiler
         if profiler is None:
             return None
-        profiler.release_sim(self)
         self._profiler = None
         if self._finalized:
             self._build_engine()
@@ -509,45 +591,12 @@ class Simulator:
         advancing the clock.
         """
         self._finalize()
-        return self._engine.settle(self.cycle)
-
-    def _tick(self) -> None:
-        """Observe, capture and commit one settled cycle.
-
-        Phase order is capture-everything then commit-everything, as
-        before; within each phase the compiled tick plans run alongside
-        the legacy per-component dispatch (captures never write signals
-        and commits only apply their own state, so relative order within
-        a phase is immaterial).
-        """
-        for observer in self._observers:
-            observer(self)
-        seq_capture = self._seq_capture
-        cycle = self.cycle
-        if seq_capture is not None:
-            seq_capture(cycle)
-        for capture in self._captures:
-            capture()
-        for commit in self._plain_commits:
-            commit()
-        note = self._note_state
-        if note is not None:
-            # Components report whether their commit changed state the
-            # combinational logic depends on; False lets the settle
-            # engine skip their next re-evaluation, None means "assume
-            # changed".
-            for comp, commit in self._noted_commits:
-                if commit() is not False:
-                    note(comp)
-        seq_commit = self._seq_commit
-        if seq_commit is not None:
-            seq_commit()
-        self.cycle = cycle + 1
+        return self._settle_fn(self.cycle)
 
     def step(self) -> None:
         """Advance the simulation by one clock cycle."""
-        self.settle()
-        self._tick()
+        self._finalize()
+        self._cycle_fn(self.cycle, None)
 
     def run(
         self,
@@ -574,24 +623,18 @@ class Simulator:
         """
         if (cycles is None) == (until is None):
             raise ValueError("specify exactly one of 'cycles' or 'until'")
-        executed = 0
         self._finalize()
-        # self._engine is re-read every cycle (not bound once): an
-        # observer or `until` predicate may call reset(), which rebuilds
-        # the engine mid-run.
-        tick = self._tick
-        if cycles is not None:
-            while executed < cycles:
-                self._engine.settle(self.cycle)
-                tick()
-                executed += 1
-            return executed
-        while executed < max_cycles:
-            self._engine.settle(self.cycle)
-            if until(self):
+        limit = max_cycles if cycles is None else cycles
+        executed = 0
+        # The cycle function is re-read every cycle, not bound once: an
+        # observer or `until` predicate may reset(), rebuild() or attach
+        # a profiler, which swaps in a new one mid-run.
+        while executed < limit:
+            if self._cycle_fn(self.cycle, until):
                 return executed
-            tick()
             executed += 1
+        if until is None:
+            return executed
         raise SimulationError(
             f"'until' predicate not satisfied within {max_cycles} cycles "
             f"(possible deadlock)"

@@ -20,8 +20,8 @@ steps (see the class docstrings below).
 
 What the flat store buys:
 
-* **Slot-compiled evaluation** — the compiled settle engine's generated
-  region functions and the components' ``compile_comb`` closures read
+* **Slot-compiled evaluation** — the simulator's generated cycle
+  function and the components' ``compile_comb`` closures read
   and write ``values[slot]`` directly, skipping the Signal object (and
   its change-notification branch) entirely on the hot path.
 * **Packed handshake blocks** — the per-thread ``valid``/``ready``
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.kernel.codegen import exec_generated
 from repro.kernel.signal import Signal
 
 
@@ -138,12 +137,29 @@ class SlotStore:
         return tuple(sorted(out))
 
 
+def _coalesce(ranges) -> list[tuple[int, int]]:
+    """Sorted *ranges* with adjacent or overlapping ones merged.
+
+    The skip predicate compares each range as one slice, so a plan whose
+    watch set spans a channel's valid block, ready block and data slot
+    (consecutive slots) pays one slice compare instead of three.
+    """
+    merged: list[list[int]] = []
+    for b, e in sorted(ranges):
+        if merged and b <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([b, e])
+    return [(b, e) for b, e in merged]
+
+
 class SeqPlan:
     """One component's compiled tick-phase schedule entry.
 
     Produced by :meth:`~repro.kernel.component.Component.compile_seq`;
     the per-cycle driving is code-generated from these fields by
-    :meth:`SeqStore.compile_driver`.  Fields:
+    :meth:`SeqStore.compile_driver` into the simulator's cycle
+    function.  Fields:
 
     ``capture``
         ``fn(cycle) -> None`` — behaviourally identical to the
@@ -162,7 +178,7 @@ class SeqPlan:
 
     ``watch``
         Slot ranges ``((base, end), ...)`` of every *signal* the capture
-        step may read.  Together with ``clean`` (last commit returned
+        step may read.  Together with :attr:`clean` (last commit returned
         ``False``) an unchanged watch set proves this cycle's
         capture+commit is a no-op, so both are skipped — the delta-driven
         replacement for per-component idle early-outs.
@@ -185,8 +201,7 @@ class SeqPlan:
     """
 
     __slots__ = (
-        "component", "capture", "commit", "watch", "repeat", "state",
-        "clean", "snap", "ran",
+        "component", "capture", "commit", "watch", "repeat", "state", "snap",
     )
 
     def __init__(self, component, capture, commit, watch, repeat=None,
@@ -197,18 +212,20 @@ class SeqPlan:
         self.watch = tuple(watch)
         self.repeat = repeat
         self.state = tuple(state)
-        #: True when the last commit reported no relevant state change.
-        self.clean = False
-        #: Watch/state snapshot from the last clean commit (one-slot
-        #: ranges store the bare value, wider ranges a slice — the
-        #: layout the generated driver compares against).
+        #: Watch/state snapshot from the last commit when it reported no
+        #: relevant state change, else ``None`` (one-slot ranges store
+        #: the bare value, wider ranges a slice — the layout the
+        #: generated sweep compares against).
         self.snap: list[Any] | None = None
-        #: Whether capture ran this cycle (commit pairs with it).
-        self.ran = False
+
+    @property
+    def clean(self) -> bool:
+        """True when the last commit reported no relevant state change."""
+        return self.snap is not None
 
     def invalidate(self) -> None:
         """Force the next tick to run capture/commit (out-of-band mutation)."""
-        self.clean = False
+        self.snap = None
 
 
 class SeqStore:
@@ -256,17 +273,18 @@ class SeqStore:
         return base
 
     # ------------------------------------------------------------------
-    # fused driver (code-generated; the per-cycle hot path)
+    # tick sweeps (code-generated; inlined into the cycle function)
     # ------------------------------------------------------------------
-    def compile_driver(self, stale, engine_index):
-        """Generate the fused ``(capture_fn, commit_fn)`` tick driver.
+    def compile_driver(self, ns, stale, engine_index):
+        """Emit the ``(capture, commit)`` sweeps as function-body lines.
 
-        Like the compiled settle engine's region fusion, the whole
-        schedule becomes straight-line functions, one block per plan:
+        The simulator inlines both into its generated per-cycle
+        function (capture sweep, then commit sweep: the race-free
+        two-phase order), one block per plan:
 
-        * the capture sweep inlines each plan's skip predicate —
-          ``clean`` plus watch/state compares against the stored
-          snapshot (one-slot ranges compare without slicing) — and calls
+        * the capture sweep inlines each plan's skip predicate — a
+          snapshot from a clean commit, and watch/state compares against
+          it (one-slot ranges compare without slicing) — and calls
           ``capture``/``repeat`` directly;
         * the commit sweep inlines the clean/dirty bookkeeping, rebuilds
           the snapshot only when a plan *ends* clean (a dirty plan will
@@ -274,15 +292,17 @@ class SeqStore:
           settle engine's stale set with the component's engine index
           instead of going through ``note_state_change``.
 
-        The source names every per-design value instead of printing it:
-        plan ``k``'s ``i``-th watch/state range is ``_a{k}_{i}`` (a
-        ``slice``, or an ``int`` for a one-slot range), its engine index
-        is ``_i{k}``, and its plan object and callables are ``_p{k}``,
-        ``_c{k}``, ``_m{k}`` and ``_r{k}``.  The text thus depends only
-        on the sequence of plan shapes (watch/state range counts, a
-        ``repeat`` hook or not, tracked or not), and designs of one
-        shape share a code object through :mod:`repro.kernel.codegen`;
-        each design runs it in its own namespace.
+        The lines name every per-design value instead of printing it,
+        and bind those names in *ns*: plan ``k``'s ``i``-th watch/state
+        range (adjacent ranges merged) is ``_a{k}_{i}`` (a ``slice``, or
+        an ``int`` for a one-slot range), its engine index is ``_i{k}``,
+        whether it runs this cycle is the local ``_x{k}``, and its plan
+        object and callables are ``_p{k}``, ``_c{k}``, ``_m{k}`` and
+        ``_r{k}``.  The text thus depends only on the sequence of plan
+        shapes (merged watch/state range counts, a ``repeat`` hook or
+        not, tracked or not), so designs of one shape share a code
+        object through :mod:`repro.kernel.codegen`; each design runs it
+        in its own namespace.
 
         *stale* is the compiled engine's cross-cycle stale set and
         *engine_index* maps ``id(component)`` to engine indices;
@@ -290,61 +310,48 @@ class SeqStore:
         Snapshot timing relies on the kernel-wide invariant that commits
         never write signals (outputs are driven during settle).
         """
-        ns: dict[str, Any] = {
-            "_V": self.store.values,
-            "_S": self.values,
-            "_stale": stale,
-        }
-        cap_lines = ["def _capture(cycle):"]
-        com_lines = ["def _commit():"]
+        ns.update(_V=self.store.values, _S=self.values, _stale=stale)
+        cap_lines: list[str] = []
+        com_lines: list[str] = []
         for k, plan in enumerate(self.plans):
-            p, c, m = f"_p{k}", f"_c{k}", f"_m{k}"
+            p, c, m, ran = f"_p{k}", f"_c{k}", f"_m{k}", f"_x{k}"
             ns[p] = plan
             ns[c] = plan.capture
             ns[m] = plan.commit
-            segments: list[tuple[str, int, int]] = [
-                ("_V", b, e) for b, e in plan.watch
-            ]
-            segments += [("_S", b, e) for b, e in plan.state]
+            segments = [("_V", b, e) for b, e in _coalesce(plan.watch)]
+            segments += [("_S", b, e) for b, e in _coalesce(plan.state)]
             compares = []
             rebuild = []
             for i, (arr, b, e) in enumerate(segments):
                 a = f"_a{k}_{i}"
                 ns[a] = b if e == b + 1 else slice(b, e)
-                compares.append(f"{arr}[{a}] == {p}.snap[{i}]")
+                compares.append(f"{arr}[{a}] == _q[{i}]")
                 rebuild.append(f"{arr}[{a}]")
             cond = " and ".join(compares) or "True"
             cap_lines += [
-                f"    if {p}.clean:",
+                f"    _q = {p}.snap",
+                f"    {ran} = True",
+                "    if _q is not None:",
                 "        try:",
-                f"            _skip = {cond}",
+                f"            {ran} = not ({cond})",
                 "        except Exception:",
-                "            _skip = False",
-                "    else:",
-                "        _skip = False",
-                "    if _skip:",
-                f"        {p}.ran = False",
+                "            pass",
+                f"    if {ran}:",
+                f"        {c}(cycle)",
             ]
             if plan.repeat is not None:
                 r = f"_r{k}"
                 ns[r] = plan.repeat
-                cap_lines.append(f"        {r}(cycle)")
-            cap_lines += [
-                "    else:",
-                f"        {c}(cycle)",
-                f"        {p}.ran = True",
-            ]
+                cap_lines += ["    else:", f"        {r}(cycle)"]
             com_lines += [
-                f"    if {p}.ran:",
+                f"    if {ran}:",
                 f"        if {m}() is False:",
-                f"            {p}.clean = True",
                 f"            {p}.snap = [{', '.join(rebuild)}]",
                 "        else:",
-                f"            {p}.clean = False",
+                f"            {p}.snap = None",
             ]
             index = engine_index.get(id(plan.component))
             if index is not None:
                 ns[f"_i{k}"] = index
                 com_lines.append(f"            _stale.add(_i{k})")
-        exec_generated("\n".join(cap_lines + com_lines), ns)
-        return ns["_capture"], ns["_commit"]
+        return cap_lines, com_lines

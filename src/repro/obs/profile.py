@@ -9,9 +9,10 @@ The contract (differentially tested in ``tests/test_obs.py``):
 
 * **Not an observer.**  Attaching never calls ``add_observer``, which
   would add a per-cycle call the run being diagnosed does not make.
-  Instead the simulator *recompiles* its engine and tick plans with
-  timing wrappers baked in (``Simulator.attach_profiler`` ->
-  ``_build_engine``), and recompiles them back out on detach.
+  Instead the simulator *recompiles* its engine, tick plans and
+  generated cycle function with timing wrappers and phase timers baked
+  in (``Simulator.attach_profiler`` -> ``_build_engine``), and
+  recompiles them back out on detach.
 * **Bit-identical reports.**  The wrappers time and count; they never
   reorder, skip, or add evaluations, so settled values, cycle counts
   and every campaign metric are unchanged.
@@ -112,76 +113,31 @@ class KernelProfiler:
         return timed
 
     # ------------------------------------------------------------------
-    # engine / simulator instrumentation (instance-attribute shadowing,
-    # never observers)
+    # phase timers (called from a profiled build's generated cycle code)
     # ------------------------------------------------------------------
-    def instrument_engine(self, engine) -> None:
-        """Wrap ``engine.settle`` with phase timing + scheduling counters.
-
-        The wrapper is an *instance* attribute shadowing the class
-        method, so a detach simply rebuilds the engine and the shadow is
-        gone with it.  Reads the engines' private scheduling state to
-        size the dirty seed — the profiler lives in-tree and tracks
-        those structures.
-        """
+    def bind_engine(self, engine) -> None:
+        """Record the engine name and its compiled-region table."""
         self.engine_name = engine.name
         self._regions = [
             dict(region) for region in getattr(engine, "regions", ())
         ]
-        name = engine.name
-        if name == "compiled":
-            stale, dirty = engine._stale, engine._dirty
-            volatile = frozenset(engine._volatile)
 
-            def seed_size() -> int:
-                return len(stale | dirty | volatile)
-
-        else:  # naive: every component, every settle
-            n = len(engine._components)
-
-            def seed_size() -> int:
-                return n
-
-        orig = type(engine).settle
+    def settled(self, seconds: float, iterations: int, seeded: int) -> None:
+        """Count one settle: its time, iterations and dirty seed size."""
         phase = self._phase["settle"]
-        perf = perf_counter
+        phase[0] += seconds
+        phase[1] += 1
+        self.settle_iterations += iterations
+        self.dirty_seeded += seeded
+        if seeded > self.dirty_max:
+            self.dirty_max = seeded
 
-        def timed_settle(cycle: int) -> int:
-            seeded = seed_size()
-            self.dirty_seeded += seeded
-            if seeded > self.dirty_max:
-                self.dirty_max = seeded
-            t0 = perf()
-            try:
-                iterations = orig(engine, cycle)
-            finally:
-                phase[0] += perf() - t0
-                phase[1] += 1
-            self.settle_iterations += iterations
-            return iterations
-
-        engine.settle = timed_settle
-
-    def instrument_sim(self, sim) -> None:
-        """Shadow ``sim._tick`` with a timed call."""
-        orig_tick = type(sim)._tick
-        tick_phase = self._phase["tick"]
-        perf = perf_counter
-
-        def timed_tick() -> None:
-            t0 = perf()
-            try:
-                orig_tick(sim)
-            finally:
-                tick_phase[0] += perf() - t0
-                tick_phase[1] += 1
-            self.cycles_ticked += 1
-
-        sim.__dict__["_tick"] = timed_tick
-
-    def release_sim(self, sim) -> None:
-        """Remove the instance-attribute shadow placed by instrument_sim."""
-        sim.__dict__.pop("_tick", None)
+    def ticked(self, seconds: float) -> None:
+        """Count one tick (observers, captures and commits) and its time."""
+        phase = self._phase["tick"]
+        phase[0] += seconds
+        phase[1] += 1
+        self.cycles_ticked += 1
 
     # ------------------------------------------------------------------
     # extra data points

@@ -34,7 +34,7 @@ import time
 import traceback
 from typing import Any, Sequence
 
-from repro.kernel.codegen import codegen_counts
+from repro.kernel.codegen import codegen_counts, codegen_seconds
 from repro.kernel.errors import EnsembleUnsupported
 from repro.obs.trace import NULL_TRACER
 from repro.sweep.registry import get_family
@@ -159,6 +159,7 @@ def _execute(
                 cache = None
             with tracer.span("build", parent=span) as build_span:
                 codegen_before = codegen_counts()
+                codegen_start = codegen_seconds()
                 entry = cache.get(cache_key) if cache is not None else None
                 rewind_s = 0.0
                 if entry is None:
@@ -182,6 +183,7 @@ def _execute(
                     design_cache=design_cache,
                     codegen_compiled=compiled - codegen_before[0],
                     codegen_reused=reused - codegen_before[1],
+                    codegen_s=round(codegen_seconds() - codegen_start, 6),
                     rewind_s=rewind_s,
                 )
             sim = getattr(handle, "sim", None)

@@ -46,8 +46,8 @@ log = logging.getLogger(__name__)
 
 #: Per-run placement/timing fields that must not survive into the store.
 _VOLATILE_FIELDS = (
-    "shard", "duration_s", "design_cache", "cached", "index", "profile",
-    "attempts",
+    "shard", "duration_s", "design_cache", "cached", "ensemble", "index",
+    "profile", "attempts",
 )
 
 

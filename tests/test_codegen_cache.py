@@ -1,15 +1,19 @@
 """The compiled-code cache shared by the kernel's generated functions.
 
-The fused tick driver (:meth:`SeqStore.compile_driver`) and the fused
-settle regions (:meth:`CompiledEngine._fuse`) name every per-design
-value in their source, so designs that differ only in slot layout —
-thread count, width — run one shared code object.  Pinned here:
+The simulator's generated cycle function inlines the settle program
+(:meth:`CompiledEngine.settle_source`) and the tick sweeps
+(:meth:`SeqStore.compile_driver`), and its source names every
+per-design value, so designs that differ only in slot layout — thread
+count, width — run one shared code object.  Pinned here:
 
 * a second build of a family at another thread count compiles nothing,
   and both builds stay cycle-identical to the naive oracle;
+* designs of one shape share the cycle function's code object but get
+  their own function objects and namespaces;
 * a plan-shape change (a ``repeat`` hook, a tracked component) misses;
-* profiling and ensemble lifting rebind callables without compiling and
-  stay bit-identical to their oracles;
+* a profiled build compiles its timed source once per shape; later
+  profiled rebuilds, every detach and ensemble lifting rebind callables
+  without compiling and stay bit-identical to their oracles;
 * the cache stays within its bound.
 """
 
@@ -66,13 +70,21 @@ def assert_rows_equal(rows_a, rows_b):
             assert same_value(va, vb)
 
 
+def sweeps(seq, stale, index):
+    """Wrap the driver's capture and commit lines into one tick function."""
+    ns: dict = {}
+    capture, commit = seq.compile_driver(ns, stale, index)
+    exec_generated("\n".join(["def _tick(cycle):", *capture, *commit]), ns)
+    return ns["_tick"]
+
+
 def driver_for(plans, tracked=()):
     """Compile a tick driver over synthetic *plans* in an empty store."""
     seq = SeqStore(SlotStore([]))
     seq.values.extend(range(8))
     seq.plans.extend(plans)
     index = {id(plan.component): i for i, plan in enumerate(tracked)}
-    return seq.compile_driver(set(), index)
+    return sweeps(seq, set(), index)
 
 
 def plan(repeat=None, state=((0, 2),)):
@@ -97,23 +109,28 @@ class TestSharedShapes:
     def test_designs_get_their_own_functions(self):
         narrow, _src, _snk = make_mt_chain(threads=2, n_funcs=3, n_items=1)
         wide, _src, _snk = make_mt_chain(threads=4, n_funcs=3, n_items=1)
-        assert narrow._seq_capture is not wide._seq_capture
-        assert narrow._seq_capture.__code__ is wide._seq_capture.__code__
-        assert narrow._seq_capture.__globals__["_V"] is narrow._store.values
-        assert wide._seq_capture.__globals__["_V"] is wide._store.values
+        assert narrow._cycle_fn is not wide._cycle_fn
+        assert narrow._cycle_fn.__code__ is wide._cycle_fn.__code__
+        assert narrow._settle_fn.__code__ is wide._settle_fn.__code__
+        assert narrow._cycle_fn.__globals__ is not wide._cycle_fn.__globals__
+        assert narrow._cycle_fn.__globals__["_V"] is narrow._store.values
+        assert wide._cycle_fn.__globals__["_V"] is wide._store.values
+        assert narrow._cycle_fn.__globals__["_sim"] is narrow
+        assert wide._settle_fn.__globals__ is wide._cycle_fn.__globals__
 
     def test_one_slot_and_wide_ranges_share_code(self):
         compile_source.cache_clear()
         driver_for([plan(state=((0, 1),))])
         before = misses()
         wide = plan(state=((2, 6),))
-        capture, commit = driver_for([wide])
+        ran = []
+        wide.capture = ran.append
+        tick = driver_for([wide])
         assert misses() == before
-        capture(0)
-        commit()
+        tick(0)
         assert wide.clean
-        capture(1)  # the wide range compares equal: the plan skips
-        assert not wide.ran
+        tick(1)  # the wide range compares equal: the plan skips
+        assert ran == [0]
 
     @pytest.mark.parametrize("variant", ["repeat", "tracked"])
     def test_plan_shape_change_misses(self, variant):
@@ -136,21 +153,22 @@ class TestSharedShapes:
         seq.plans.extend(plans)
         plans[1].commit = lambda: True  # ends dirty: marks the engine
         stale: set[int] = set()
-        capture, commit = seq.compile_driver(
-            stale, {id(plans[1].component): 7}
-        )
-        capture(0)
-        commit()
+        sweeps(seq, stale, {id(plans[1].component): 7})(0)
         assert stale == {7}
 
 
 class TestRebindWithoutCompiling:
     def test_profiled_run_compiles_nothing_and_matches(self):
+        """Timers are part of the profiled source, so the first profiled
+        build of a shape compiles it; a profiled rebuild of another
+        design of that shape, and the detach after it, compile nothing."""
         items = [list(range(6)) for _ in range(2)]
         plain, _src, sink_a, _mebs, _mons = make_mt_pipeline(
             FullMEB, threads=2, items=items, n_stages=2, engine="compiled",
         )
         plain.run(until=lambda s: sink_a.count == 12, max_cycles=5_000)
+        with plain.profile():  # compiles (or finds) the profiled shape
+            pass
         profiled, _src, sink_b, _mebs, _mons = make_mt_pipeline(
             FullMEB, threads=2, items=items, n_stages=2, engine="compiled",
         )
@@ -158,7 +176,10 @@ class TestRebindWithoutCompiling:
         with profiled.profile():
             profiled.run(until=lambda s: sink_b.count == 12,
                          max_cycles=5_000)
+            timed = profiled._cycle_fn
         assert misses() == before
+        assert timed.__code__ is not profiled._cycle_fn.__code__
+        assert profiled._cycle_fn.__code__ is plain._cycle_fn.__code__
         assert profiled.cycle == plain.cycle
         assert sink_b.received == sink_a.received
 

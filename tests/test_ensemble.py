@@ -27,6 +27,7 @@ from repro.sweep.families import (
     _drive_to_completion,
     make_mt_chain,
 )
+from repro.sweep.jobs import JobService
 from repro.sweep.registry import get_family
 from repro.sweep.report import canonical_report
 from repro.sweep.runner import (
@@ -259,6 +260,43 @@ def test_fallback_on_batch_failure(monkeypatch):
         assert row["ensemble"] == "fallback"
         assert row["status"] == "ok"
         assert row["metrics"] == ref["metrics"]
+
+
+def test_cached_fallback_rows_count_once(monkeypatch):
+    """A stored row does not replay the ensemble placement of the run
+    that stored it: two jobs through one store, three real fallbacks."""
+    family = get_family("mt_chain")
+
+    def boom(handle, ctx, scens):
+        raise EnsembleDivergence("synthetic divergence")
+
+    broken = dataclasses.replace(
+        family, ensemble=dataclasses.replace(family.ensemble, run=boom)
+    )
+    monkeypatch.setattr(
+        "repro.sweep.runner.get_family", lambda _name: broken
+    )
+    spec = {
+        "campaign": {"name": "fallbacks", "seed": 11},
+        "scenarios": [{
+            "family": "mt_chain",
+            "params": {"threads": 3, "n_funcs": 2, "n_items": 6},
+            "stimulus": {"kind": "uniform", "payload": "seeded",
+                         "items_per_thread": 5},
+            "grid": {"stimulus.payload_salt": [0, 1, 2]},
+        }],
+    }
+    with JobService(workers=0, store=True) as service:
+        first = service.result(service.submit(spec), timeout=120)
+        second = service.result(service.submit(spec), timeout=120)
+        text = service.render_metrics()
+    fallbacks = [
+        row for row in first["scenarios"] if row["ensemble"] == "fallback"
+    ]
+    assert len(fallbacks) == 3
+    assert all(row["cached"] for row in second["scenarios"])
+    assert not any("ensemble" in row for row in second["scenarios"])
+    assert "repro_ensemble_fallbacks_total 3" in text.splitlines()
 
 
 def test_fallback_when_family_has_no_support(monkeypatch):

@@ -286,6 +286,26 @@ class TestDesignCacheAffinity:
         assert {r["design_cache"] for r in second["scenarios"]} == {"hit"}
         assert _metrics_by_key(first) == _metrics_by_key(second)
 
+    def test_build_spans_time_codegen(self):
+        with JobService(workers=0) as service:
+            jobs = [service.submit(SMALL_CAMPAIGN) for _ in range(2)]
+            for job in jobs:
+                service.result(job)
+            builds = [
+                [s["attrs"] for s in service.trace(job)
+                 if s["name"] == "build"]
+                for job in jobs
+            ]
+        # A fresh build execs its generated cycle code; a hit rewinds.
+        assert builds[0] and all(
+            a["design_cache"] == "build" and a["codegen_s"] > 0
+            for a in builds[0]
+        )
+        assert builds[1] and all(
+            a["design_cache"] == "hit" and a["codegen_s"] == 0.0
+            for a in builds[1]
+        )
+
     @pytest.mark.parametrize("engine", ["naive", "compiled"])
     def test_md5_design_rewinds_instead_of_rebuilding(self, engine):
         def md5_job(seed):

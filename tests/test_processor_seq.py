@@ -131,10 +131,16 @@ class TestIdleStretches:
         # An until-run stops before ticking its final settled cycle, so
         # the writeback/memory plans confirm idleness in one cycle.
         cpu.run_cycles(1)
+        # Record every capture the cycle function would run from here.
+        ran = []
+        ns = sim._cycle_fn.__globals__
+        for k, plan in enumerate(sim.seq.plans):
+            assert ns[f"_c{k}"] is plan.capture
+            ns[f"_c{k}"] = lambda cycle, k=k: ran.append(k)
         before = sim.cycle
         cpu.run_cycles(5000)
         assert sim.cycle == before + 5000
-        assert not any(plan.ran for plan in sim.seq.plans)
+        assert ran == []
         assert all(plan.clean for plan in sim.seq.plans)
         assert list(cpu.pc_unit.retired) == retired
 
