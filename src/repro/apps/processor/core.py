@@ -56,7 +56,7 @@ from repro.core.mtchannel import one_hot_thread, one_hot_vectors
 from repro.kernel import Component, Simulator
 from repro.kernel.errors import SimulationError
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import X, as_bool, bools, same_value
+from repro.kernel.values import X, same_value
 
 MEB_KINDS = {"full": FullMEB, "reduced": ReducedMEB}
 
@@ -299,7 +299,7 @@ class PCUnit(Component):
     # ------------------------------------------------------------------
     def combinational(self) -> None:
         requests_base = [pc is not None for pc in self._pending]
-        readies = [as_bool(sig.value) for sig in self.out.ready]
+        readies = [sig.value for sig in self.out.ready]
         requests = self.policy.requests(requests_base, readies)
         grant = self.arbiter.grant(requests)
         self._grant = grant
@@ -350,7 +350,7 @@ class PCUnit(Component):
 
         def step() -> bool:
             pending = sstore[sq:sqe]
-            readies = bools(values[orb:ore])
+            readies = values[orb:ore]
             if pending.count(None) == threads:
                 grant = None
             else:
@@ -390,7 +390,7 @@ class PCUnit(Component):
         retired = list(self.retired)
         transferred = False
         g = self._grant
-        if g is not None and as_bool(self.out.ready[g].value):
+        if g is not None and self.out.ready[g].value:
             transferred = True
             pending[g] = None  # token dispatched into the ring
         t = self.inp.transfer_thread()
@@ -462,9 +462,9 @@ class PCUnit(Component):
 
         def capture(cycle) -> None:
             g = self._grant
-            transferred = g is not None and as_bool(values[orb + g])
+            transferred = g is not None and values[orb + g]
             t = one_hot_thread(values[ivb:ive], inp_path)
-            if t is not None and not as_bool(values[irb + t]):
+            if t is not None and not values[irb + t]:
                 t = None
             if not transferred and t is None:
                 # Idle cycle: no dispatch, no retirement.

@@ -107,9 +107,9 @@ class RoundRobinArbiter:
         ``True in`` test answers the no-request case, one
         ``list.index(True)`` finds the first request, and only when that
         lies before the pointer is the tail past the pointer searched.
-        Callers must pass real ``True``/``False`` entries — the batched
-        handshake paths all normalize through
-        :func:`repro.kernel.values.bools` first — since ``in`` and
+        Callers must pass real ``True``/``False`` entries — handshake
+        slots hold only bools, being
+        :class:`~repro.kernel.signal.ControlSignal` s — since ``in`` and
         ``index`` match by equality, not truthiness.
         """
         if True not in requests:

@@ -28,7 +28,7 @@ from repro.core.mtchannel import MTChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import SimulationError
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import as_bool, bools, same_value
+from repro.kernel.values import same_value
 
 IDLE = "IDLE"
 WAIT = "WAIT"
@@ -148,8 +148,8 @@ class Barrier(Component):
     def combinational(self) -> None:
         for t in range(self.threads):
             passing = self.is_open_for(t)
-            vin = as_bool(self.up.valid[t].value)
-            rin = as_bool(self.down.ready[t].value)
+            vin = self.up.valid[t].value
+            rin = self.down.ready[t].value
             self.down.valid[t].set(vin and passing)
             self.up.ready[t].set(rin and passing)
         self.down.data.set(self.up.data.value)
@@ -186,8 +186,8 @@ class Barrier(Component):
 
         def step() -> bool:
             fsm = sstore[fb:fe]
-            in_valid = bools(values[uvb:uve])
-            in_ready = bools(values[drb:dre])
+            in_valid = values[uvb:uve]
+            in_ready = values[drb:dre]
             if everyone and FREE not in fsm:
                 # Closed for every thread: nothing passes either way.
                 new_valid = new_ready = falses
@@ -255,8 +255,8 @@ class Barrier(Component):
             fsm = svalues[fb:fe]
             count = svalues[cb]
             released = False
-            valids = bools(values[uvb:uve])
-            readies = bools(values[urb:ure])
+            valids = values[uvb:uve]
+            readies = values[urb:ure]
             # Transfers first: FREE threads whose item passed -> IDLE.
             for t in participants:
                 if fsm[t] == FREE and valids[t] and readies[t]:

@@ -17,7 +17,7 @@ from repro.core.mtchannel import MTChannel, one_hot_thread, one_hot_vectors
 from repro.elastic.endpoints import Pattern, _pattern_fn
 from repro.kernel.component import Component
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import X, as_bool, bools, same_value
+from repro.kernel.values import X, same_value
 
 
 class MTSource(Component):
@@ -138,7 +138,7 @@ class MTSource(Component):
 
     def combinational(self) -> None:
         eligible = self._eligible()
-        readies = [as_bool(sig.value) for sig in self.channel.ready]
+        readies = [sig.value for sig in self.channel.ready]
         requests = self.policy.requests(eligible, readies)
         chosen = self.arbiter.grant(requests)
         self._chosen = chosen
@@ -184,7 +184,7 @@ class MTSource(Component):
                 # General gates may return truthy non-bools; normalize so
                 # the arbiter's index scan stays exact.
                 eligible = list(map(bool, self._eligible()))
-            chosen = grant_fast(requests_of(eligible, bools(values[rb:re_])))
+            chosen = grant_fast(requests_of(eligible, values[rb:re_]))
             self._chosen = chosen
             if chosen is None:
                 new_valid = falses
@@ -242,7 +242,7 @@ class MTSource(Component):
 
         def capture(cycle) -> None:
             chosen = self._chosen
-            if chosen is not None and as_bool(values[rb + chosen]):
+            if chosen is not None and values[rb + chosen]:
                 sent.append((cycle, chosen, values[data_slot]))
                 index = svalues[sq:sqe]
                 index[chosen] += 1
@@ -275,9 +275,7 @@ class MTSource(Component):
     def capture(self) -> None:
         index = list(self._index)
         transferred = False
-        if self._chosen is not None and as_bool(
-            self.channel.ready[self._chosen].value
-        ):
+        if self._chosen is not None and self.channel.ready[self._chosen].value:
             transferred = True
             self.sent.append(
                 (self._cycle, self._chosen, self.channel.data.value)
@@ -376,7 +374,8 @@ class MTSink(Component):
                 new_ready = trues
             else:
                 cycle = self._cycle
-                new_ready = [gate(cycle) for gate in gates]
+                # Raw slot writes must be bools, like ControlSignal.set.
+                new_ready = [bool(gate(cycle)) for gate in gates]
             if values[rb:re_] != new_ready:
                 values[rb:re_] = new_ready
                 if ready_readers:
@@ -413,10 +412,8 @@ class MTSink(Component):
         last: list[Any] = [None]
 
         def capture(cycle) -> None:
-            # The raw slice goes through the same canonical check as the
-            # scalar path: X raises, truthy non-bools count as valid.
             active = one_hot_thread(values[vb:ve], ch_path)
-            if active is not None and as_bool(values[rb + active]):
+            if active is not None and values[rb + active]:
                 data = values[data_slot]
                 received.append((cycle, active, data))
                 last[0] = (active, data)

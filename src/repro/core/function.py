@@ -25,7 +25,7 @@ from repro.elastic.function import LatencyPolicy
 from repro.kernel.component import Component
 from repro.kernel.errors import EnsembleUnsupported, SimulationError
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import X, as_bool, bools, same_value, state_changed
+from repro.kernel.values import X, same_value, state_changed
 
 
 class MTFunction(Component):
@@ -74,7 +74,7 @@ class MTFunction(Component):
         active = self.inp.active_thread()
         for t in range(self.threads):
             self.out.valid[t].set(active == t)
-            self.inp.ready[t].set(as_bool(self.out.ready[t].value))
+            self.inp.ready[t].set(self.out.ready[t].value)
         self.out.data.set(
             self.fn(self.inp.data.value) if active is not None else X
         )
@@ -131,7 +131,7 @@ class MTFunction(Component):
                 if valid_readers:
                     dirty.update(valid_readers)
                 changed = True
-            new_ready = bools(values[orb:ore])
+            new_ready = values[orb:ore]
             if values[irb:ire] != new_ready:
                 values[irb:ire] = new_ready
                 if ready_readers:
@@ -179,7 +179,7 @@ class MTContextFunction(MTFunction):
         active = self.inp.active_thread()
         for t in range(self.threads):
             self.out.valid[t].set(active == t)
-            self.inp.ready[t].set(as_bool(self.out.ready[t].value))
+            self.inp.ready[t].set(self.out.ready[t].value)
         self.out.data.set(
             self.fn(self.inp.data.value, active) if active is not None else X
         )
@@ -333,7 +333,7 @@ class MTVariableLatencyUnit(Component):
         draining = (
             self.bypass
             and self.done
-            and as_bool(self.out.ready[self._owner].value)
+            and self.out.ready[self._owner].value
         )
         accepting = (not self._busy) or draining
         for t in range(self.threads):
@@ -379,7 +379,7 @@ class MTVariableLatencyUnit(Component):
                 new_valid = falses[:]
                 new_valid[owner] = True
                 new_data = sstore[sq + 3]
-                accepting = bypass and as_bool(values[orb + owner])
+                accepting = bypass and values[orb + owner]
             else:
                 new_valid = falses
                 new_data = unknown
@@ -410,7 +410,7 @@ class MTVariableLatencyUnit(Component):
         busy, owner = self._busy, self._owner
         remaining, result = self._remaining, self._result
         accepted = self._accepted
-        if self.done and as_bool(self.out.ready[self._owner].value):
+        if self.done and self.out.ready[self._owner].value:
             busy, owner, result = False, None, X
         if not busy:
             t = self.inp.transfer_thread()
@@ -492,13 +492,13 @@ class MTVariableLatencyUnit(Component):
                         svalues[sq + 3], svalues[sq + 4],
                     )
                     return
-                if not as_bool(values[orb + svalues[sq + 1]]):
+                if not values[orb + svalues[sq + 1]]:
                     # Parked: result presented, downstream not ready.
                     self._next = None
                     return
                 # Drained this cycle; may accept a new item right away.
             t = one_hot_thread(values[ivb:ive], inp_path)
-            if t is not None and as_bool(values[irb + t]):
+            if t is not None and values[irb + t]:
                 data = values[in_data]
                 remaining = self._latency_for(data) - 1
                 result = fn(data, t) if with_thread else fn(data)

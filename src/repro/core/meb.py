@@ -41,7 +41,7 @@ from repro.core.mtchannel import MTChannel, one_hot_vectors
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError, SimulationError
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import X, as_bool, bools, same_value, state_changed
+from repro.kernel.values import X, same_value, state_changed
 
 #: Per-thread elastic control states (paper Fig. 6).
 EMPTY = "EMPTY"
@@ -61,22 +61,13 @@ def _seq_input_thread(values, uvb, uve, urb, path, up_path):
     """Slot-level ``_input_thread``: the enqueueing thread, or ``None``.
 
     Shared by the Full/Reduced compiled tick captures; keeps the exact
-    scalar-path semantics and ordering — X anywhere in the valid vector
-    raises first (like ``bools``), then the one-valid-per-cycle
-    invariant, then the ready gate.  C-speed ``count`` scans prove the
-    raw slice canonical and answer the common idle/one-hot cases; a
-    vector holding anything but ``True``/``False`` (``X``, truthy
-    non-bools) is normalized through ``bools`` first.
+    scalar-path semantics and ordering — the one-valid-per-cycle
+    invariant first, then the ready gate.  The raw valid slice holds only
+    bools (handshake wires are ``ControlSignal`` s), so one C-speed
+    ``count`` and one ``index`` answer it.
     """
     valids = values[uvb:uve]
-    idle = valids.count(False)
-    n = uve - uvb
-    if idle == n:
-        return None
     count = valids.count(True)
-    if count + idle != n:
-        valids = bools(valids)  # raises on X like the scalar path
-        count = valids.count(True)
     if count == 0:
         return None
     if count > 1:
@@ -85,7 +76,7 @@ def _seq_input_thread(values, uvb, uve, urb, path, up_path):
             f"{up_path} in one cycle (MT channels carry one)"
         )
     thread = valids.index(True)
-    if as_bool(values[urb + thread]):
+    if values[urb + thread]:
         return thread
     return None
 
@@ -157,7 +148,7 @@ class _MEBBase(Component):
     # -- evaluation ----------------------------------------------------------
     def combinational(self) -> None:
         valids = [self.occupancy(i) > 0 for i in range(self.threads)]
-        readies = [as_bool(sig.value) for sig in self._down_ready_sigs]
+        readies = [sig.value for sig in self._down_ready_sigs]
         requests = self.policy.requests(valids, readies)
         grant = self.arbiter.grant(requests)
         self._grant = grant
@@ -219,13 +210,13 @@ class _MEBBase(Component):
             )
         if count:
             thread = valids.index(True)
-            if as_bool(self.up.ready[thread].value):
+            if self.up.ready[thread].value:
                 return thread
         return None
 
     def _output_transferred(self) -> bool:
         grant = self._grant
-        return grant is not None and as_bool(self.down.ready[grant].value)
+        return grant is not None and self.down.ready[grant].value
 
     def commit(self) -> bool:
         return self.arbiter.commit()
@@ -325,7 +316,7 @@ class FullMEB(_MEBBase):
 
         def step() -> bool:
             queues = sstore[sq:sqe]
-            readies = bools(values[rb:re_])
+            readies = values[rb:re_]
             idle = queues.count(no_items)
             if idle == threads:
                 # Every queue empty: no grant, every thread accepts.
@@ -403,7 +394,7 @@ class FullMEB(_MEBBase):
 
         def capture(cycle) -> None:
             grant = self._grant
-            transferred = grant is not None and as_bool(values[drb + grant])
+            transferred = grant is not None and values[drb + grant]
             enq = input_thread(values, uvb, uve, urb, path, up_path)
             if not transferred and enq is None:
                 # Idle cycle: nothing moves, keep the queues as they are
@@ -632,7 +623,7 @@ class ReducedMEB(_MEBBase):
 
         def step() -> bool:
             state = sstore[sb:se]
-            readies = bools(values[rb:re_])
+            readies = values[rb:re_]
             shared_free = sstore[ob] is None
             idle = state.count(empty)
             if idle == threads:
@@ -709,7 +700,7 @@ class ReducedMEB(_MEBBase):
 
         def capture(cycle) -> None:
             grant = self._grant
-            transferred = grant is not None and as_bool(values[drb + grant])
+            transferred = grant is not None and values[drb + grant]
             enq = input_thread(values, uvb, uve, urb, path, up_path)
             if not transferred and enq is None:
                 # Idle cycle: no dequeue, no enqueue, state is untouched

@@ -24,7 +24,6 @@ from typing import Any
 from repro.core.mtchannel import MTChannel, one_hot_thread
 from repro.kernel.component import Component
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import as_bool
 
 
 class MTMonitor(Component):
@@ -136,7 +135,7 @@ class MTMonitor(Component):
             self._act_moved.append(False)
         else:
             data = channel.data.value
-            transferred = as_bool(channel.ready[active].value)
+            transferred = channel.ready[active].value
             self._act_thread.append(active)
             self._act_data.append(data)
             self._act_moved.append(transferred)
@@ -177,8 +176,6 @@ class MTMonitor(Component):
         last: list[Any] = [None, None, False]
 
         def capture(cycle) -> None:
-            # The raw slice goes through the same canonical check as the
-            # scalar path: X raises, truthy non-bools count as valid.
             active = one_hot_thread(values[vb:ve], ch_path)
             if active is None:
                 act_thread.append(None)
@@ -188,7 +185,7 @@ class MTMonitor(Component):
                 last[2] = False
             else:
                 data = values[data_slot]
-                moved = as_bool(values[rb + active])
+                moved = values[rb + active]
                 act_thread.append(active)
                 act_data.append(data)
                 act_moved.append(moved)

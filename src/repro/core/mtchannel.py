@@ -13,7 +13,10 @@ those slot blocks lazily (:meth:`_blocks`) and serves its S-wide vector
 reads — :meth:`valids`, :meth:`readies`, :meth:`active_thread` — as one
 list slice plus C-speed ``count``/``index`` scans instead of S attribute
 chases, which speeds up every engine's capture phase as well as the
-compiled engine's settle steps.
+compiled engine's settle steps.  The handshake wires are
+:class:`~repro.kernel.signal.ControlSignal` s, which reject ``X`` and
+coerce truthy values at the write, so those slices hold only bools and
+are returned as read.
 """
 
 from __future__ import annotations
@@ -23,35 +26,25 @@ from typing import Any
 
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError
-from repro.kernel.values import as_bool, bools
 
 
 def one_hot_thread(valids: list, path: str) -> int | None:
     """Index of the single asserted bit in a valid slice, or None if idle.
 
-    Takes the raw packed slice straight from the slot store.  C-speed
-    ``count`` scans prove it canonical (every entry equal to ``True`` or
-    ``False``) and answer the idle and one-hot cases directly; anything
-    else goes through :func:`~repro.kernel.values.bools`, which raises on
-    ``X`` exactly like the scalar ``as_bool`` path and maps truthy
-    non-bools to ``True``.  The MT protocol's one-valid-per-cycle
-    invariant then raises :class:`ProtocolError` naming *path* when more
-    than one bit is set.  Shared by :meth:`MTChannel.active_thread` and
-    the slot-compiled steps and tick plans of the MT components.
+    Takes the raw packed slice straight from the slot store: handshake
+    wires are :class:`~repro.kernel.signal.ControlSignal` s, so every
+    entry is ``True`` or ``False`` and one C-speed ``count`` plus one
+    ``index`` answer it.  The MT protocol's one-valid-per-cycle invariant
+    raises :class:`ProtocolError` naming *path* when more than one bit is
+    set.  Shared by :meth:`MTChannel.active_thread` and the slot-compiled
+    steps and tick plans of the MT components.
     """
-    n = len(valids)
-    idle = valids.count(False)
-    if idle == n:
-        return None
     count = valids.count(True)
-    if count + idle != n:
-        valids = bools(valids)
-        count = valids.count(True)
-    if count == 1:
-        return valids.index(True)
     if count == 0:
         return None
     first = valids.index(True)
+    if count == 1:
+        return first
     second = valids.index(True, first + 1)
     raise ProtocolError(
         f"{path}: expected one-hot vector, bits {first} and "
@@ -100,14 +93,8 @@ class MTChannel(Component):
             raise ValueError("an MT channel needs at least one thread")
         self.threads = int(threads)
         self.width = int(width)
-        self.valid = [
-            self.signal(f"valid{i}", width=1, init=False)
-            for i in range(self.threads)
-        ]
-        self.ready = [
-            self.signal(f"ready{i}", width=1, init=False)
-            for i in range(self.threads)
-        ]
+        self.valid = [self.control(f"valid{i}") for i in range(self.threads)]
+        self.ready = [self.control(f"ready{i}") for i in range(self.threads)]
         self.data = self.signal("data", width=self.width)
         # Packed-slot cache for the vector helpers, keyed on the store
         # list the signals are currently homed in (it changes exactly
@@ -157,18 +144,16 @@ class MTChannel(Component):
             self._blocks()
         blk = self._blk_valid
         if blk is not None:
-            # One slice read + one C-speed bool() sweep; raises on X
-            # exactly like the scalar as_bool path would.
-            return bools(self._blk_store[blk[0]:blk[1]])
-        return [as_bool(sig.value) for sig in self.valid]
+            return self._blk_store[blk[0]:blk[1]]
+        return [sig.value for sig in self.valid]
 
     def readies(self) -> list[bool]:
         if self.valid[0]._store is not self._blk_store:
             self._blocks()
         blk = self._blk_ready
         if blk is not None:
-            return bools(self._blk_store[blk[0]:blk[1]])
-        return [as_bool(sig.value) for sig in self.ready]
+            return self._blk_store[blk[0]:blk[1]]
+        return [sig.value for sig in self.ready]
 
     def active_thread(self) -> int | None:
         """Index of the thread presenting data this cycle (None if idle).
@@ -181,15 +166,13 @@ class MTChannel(Component):
     def transfer_thread(self) -> int | None:
         """Thread completing a transfer this cycle, or None."""
         active = self.active_thread()
-        if active is not None and as_bool(self.ready[active].value):
+        if active is not None and self.ready[active].value:
             return active
         return None
 
     def transfers(self, thread: int) -> bool:
         """True when *thread* moves a data item across this cycle."""
-        return as_bool(self.valid[thread].value) and as_bool(
-            self.ready[thread].value
-        )
+        return self.valid[thread].value and self.ready[thread].value
 
     def payload(self) -> Any:
         return self.data.value

@@ -21,7 +21,7 @@ from repro.core.arbiter import RoundRobinArbiter
 from repro.core.mtchannel import MTChannel, one_hot_thread, one_hot_vectors
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError, SimulationError
-from repro.kernel.values import X, as_bool, same_value
+from repro.kernel.values import X, same_value
 
 
 def _check_same_threads(channels: Sequence[MTChannel], who: str) -> int:
@@ -67,7 +67,7 @@ class MJoin(Component):
 
     def combinational(self) -> None:
         valids = [
-            [as_bool(ch.valid[t].value) for t in range(self.threads)]
+            [ch.valid[t].value for t in range(self.threads)]
             for ch in self.inputs
         ]
         joined_thread: int | None = None
@@ -88,7 +88,7 @@ class MJoin(Component):
                     v[t] for j, v in enumerate(valids) if j != k
                 )
                 ch.ready[t].set(
-                    as_bool(self.out.ready[t].value) and others
+                    self.out.ready[t].value and others
                 )
 
     def area_items(self) -> list[tuple[str, int, int]]:
@@ -122,13 +122,13 @@ class MFork(Component):
 
     def combinational(self) -> None:
         readies = [
-            [as_bool(ch.ready[t].value) for t in range(self.threads)]
+            [ch.ready[t].value for t in range(self.threads)]
             for ch in self.outputs
         ]
         data = self.inp.data.value
         active = self.inp.active_thread()
         for t in range(self.threads):
-            in_valid = as_bool(self.inp.valid[t].value)
+            in_valid = self.inp.valid[t].value
             self.inp.ready[t].set(all(r[t] for r in readies))
             for k, ch in enumerate(self.outputs):
                 others = all(
@@ -201,7 +201,7 @@ class MBranch(Component):
             if t == active:
                 assert sel is not None
                 target = self.outputs[sel]
-                self.inp.ready[t].set(as_bool(target.ready[t].value))
+                self.inp.ready[t].set(target.ready[t].value)
             else:
                 self.inp.ready[t].set(False)
 
@@ -275,7 +275,7 @@ class MBranch(Component):
                     if readers:
                         dirty.update(readers)
                     changed = True
-            if sel is not None and as_bool(values[out_ready[sel][0] + active]):
+            if sel is not None and values[out_ready[sel][0] + active]:
                 new_ready = one_hot[active]
             else:
                 new_ready = falses
@@ -361,7 +361,7 @@ class MMerge(Component):
                 take = (
                     winner == k
                     and actives[k] == t
-                    and as_bool(self.out.ready[t].value)
+                    and self.out.ready[t].value
                 )
                 ch.ready[t].set(take)
 
@@ -435,12 +435,11 @@ class MMerge(Component):
                     dirty.update(out_data_readers)
                 changed = True
             # Like the interpreted path, consult out.ready only for the
-            # winning thread (an un-granted thread's ready may be X
-            # without consequence).
+            # winning thread.
             take_thread = None
             if winner is not None:
                 thread = actives[winner]
-                if as_bool(values[orb + thread]):
+                if values[orb + thread]:
                     take_thread = thread
             for k in range(n_in):
                 if winner == k and take_thread is not None:
@@ -462,7 +461,7 @@ class MMerge(Component):
         transferred = False
         if self._winner is not None:
             t = self.inputs[self._winner].active_thread()
-            if t is not None and as_bool(self.out.ready[t].value):
+            if t is not None and self.out.ready[t].value:
                 transferred = True
         self.path_arbiter.note(self._winner, transferred)
 

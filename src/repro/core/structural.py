@@ -24,7 +24,7 @@ from repro.elastic.buffer import ElasticBuffer
 from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError, SimulationError
-from repro.kernel.values import X, as_bool
+from repro.kernel.values import X
 
 
 class _InputDemux(Component):
@@ -44,7 +44,7 @@ class _InputDemux(Component):
     def combinational(self) -> None:
         actives = [
             i for i in range(self.up.threads)
-            if as_bool(self.up.valid[i].value)
+            if self.up.valid[i].value
         ]
         if len(actives) > 1:
             raise ProtocolError(
@@ -54,7 +54,7 @@ class _InputDemux(Component):
             take = bool(actives) and actives[0] == i
             ch.valid.set(take)
             ch.data.set(self.up.data.value if take else X)
-            self.up.ready[i].set(as_bool(ch.ready.value))
+            self.up.ready[i].set(ch.ready.value)
 
     def area_items(self) -> list[tuple[str, int, int]]:
         return [("lut", self.up.threads, 1)]
@@ -79,8 +79,8 @@ class _OutputArbiterMux(Component):
         self._grant: int | None = None
 
     def combinational(self) -> None:
-        valids = [as_bool(ch.valid.value) for ch in self.eb_outs]
-        readies = [as_bool(sig.value) for sig in self.down.ready]
+        valids = [ch.valid.value for ch in self.eb_outs]
+        readies = [sig.value for sig in self.down.ready]
         requests = self.policy.requests(valids, readies)
         grant = self.arbiter.grant(requests)
         self._grant = grant
@@ -95,7 +95,7 @@ class _OutputArbiterMux(Component):
     def capture(self) -> None:
         transferred = (
             self._grant is not None
-            and as_bool(self.down.ready[self._grant].value)
+            and self.down.ready[self._grant].value
         )
         self.arbiter.note(self._grant, transferred)
 

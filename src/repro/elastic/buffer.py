@@ -23,7 +23,7 @@ from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import SimulationError
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import X, as_bool, same_value, state_changed
+from repro.kernel.values import X, same_value, state_changed
 
 
 class _SlotWriter:
@@ -194,8 +194,8 @@ class ElasticBuffer(Component):
         path = self.path
 
         def capture(cycle) -> None:
-            deq = as_bool(values[dv]) and as_bool(values[dr])
-            enq = as_bool(values[uv]) and as_bool(values[ur])
+            deq = values[dv] and values[dr]
+            enq = values[uv] and values[ur]
             if not deq and not enq:
                 self._next_items = None
                 return
@@ -308,7 +308,7 @@ class HalfBuffer(Component):
     def combinational(self) -> None:
         self.down.valid.set(self._full)
         self.down.data.set(self._item if self._full else X)
-        draining = self._full and as_bool(self.down.ready.value)
+        draining = self._full and self.down.ready.value
         self.up.ready.set((not self._full) or draining)
 
     def compile_comb(self, store):
@@ -328,7 +328,7 @@ class HalfBuffer(Component):
             changed = valid_w(full)
             if data_w(sstore[fb + 1] if full else X):
                 changed = True
-            draining = full and as_bool(values[down_ready])
+            draining = full and values[down_ready]
             if ready_w((not full) or draining):
                 changed = True
             return changed
@@ -353,9 +353,9 @@ class HalfBuffer(Component):
 
         def capture(cycle) -> None:
             full, item = svalues[fb], svalues[fb + 1]
-            if as_bool(values[dv]) and as_bool(values[dr]):
+            if values[dv] and values[dr]:
                 full, item = False, X
-            if as_bool(values[uv]) and as_bool(values[ur]):
+            if values[uv] and values[ur]:
                 full, item = True, values[ud]
             self._next = (full, item)
 
@@ -508,8 +508,8 @@ class LatchElasticBuffer(Component):
         def capture(cycle) -> None:
             out_full, out_item = svalues[ob]
             skid_full, skid_item = svalues[ob + 1]
-            deq = as_bool(values[dv]) and as_bool(values[dr])
-            enq = as_bool(values[uv]) and as_bool(values[ur])
+            deq = values[dv] and values[dr]
+            enq = values[uv] and values[ur]
             if enq and skid_full:
                 raise SimulationError(f"{path}: enqueue while shadow full")
             incoming = values[ud]

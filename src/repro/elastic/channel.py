@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.kernel.component import Component
-from repro.kernel.values import as_bool
 
 
 class ElasticChannel(Component):
@@ -24,8 +23,8 @@ class ElasticChannel(Component):
     def __init__(self, name: str, width: int = 32, parent: Component | None = None):
         super().__init__(name, parent=parent)
         self.width = int(width)
-        self.valid = self.signal("valid", width=1, init=False)
-        self.ready = self.signal("ready", width=1, init=False)
+        self.valid = self.control("valid")
+        self.ready = self.control("ready")
         self.data = self.signal("data", width=self.width)
 
     # ------------------------------------------------------------------
@@ -48,17 +47,17 @@ class ElasticChannel(Component):
     @property
     def transfer(self) -> bool:
         """True when a data item moves across the channel this cycle."""
-        return as_bool(self.valid.value) and as_bool(self.ready.value)
+        return self.valid.value and self.ready.value
 
     @property
     def stalled(self) -> bool:
         """True when the producer offers data but the consumer refuses it."""
-        return as_bool(self.valid.value) and not as_bool(self.ready.value)
+        return self.valid.value and not self.ready.value
 
     @property
     def idle(self) -> bool:
         """True when no data is offered this cycle."""
-        return not as_bool(self.valid.value)
+        return not self.valid.value
 
     def payload(self) -> Any:
         """The data value currently on the channel."""

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
-from repro.kernel.values import X, as_bool
+from repro.kernel.values import X
 
 #: A pattern is a per-cycle boolean gate: a callable of the local cycle
 #: number, a sequence treated as cyclic, or None meaning "always on".
@@ -124,7 +124,7 @@ class Source(Component):
 
     def capture(self) -> None:
         index, offering = self._index, self._offering
-        if as_bool(self.channel.valid.value):
+        if self.channel.valid.value:
             if self.channel.transfer:
                 self.sent.append((self._cycle, self.channel.data.value))
                 index += 1

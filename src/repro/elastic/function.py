@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import SimulationError
-from repro.kernel.values import X, as_bool, state_changed
+from repro.kernel.values import X, state_changed
 
 #: Latency policy: a fixed int, a callable ``fn(data, k) -> int`` where k
 #: counts accepted items, or an iterable of per-item latencies.
@@ -52,10 +52,10 @@ class FunctionUnit(Component):
             self.declare_volatile()
 
     def combinational(self) -> None:
-        in_valid = as_bool(self.inp.valid.value)
+        in_valid = self.inp.valid.value
         self.out.valid.set(in_valid)
         self.out.data.set(self.fn(self.inp.data.value) if in_valid else X)
-        self.inp.ready.set(as_bool(self.out.ready.value))
+        self.inp.ready.set(self.out.ready.value)
 
     def area_items(self) -> list[tuple[str, int, int]]:
         return [("lut", self._area_luts, 1)] if self._area_luts else []

@@ -21,7 +21,7 @@ from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError
 from repro.kernel.slots import SeqPlan
-from repro.kernel.values import as_bool, same_value
+from repro.kernel.values import same_value
 
 
 class ChannelMonitor(Component):
@@ -69,8 +69,8 @@ class ChannelMonitor(Component):
     # evaluation: observe in capture (settled values), commit bookkeeping
     # ------------------------------------------------------------------
     def capture(self) -> None:
-        valid = as_bool(self.channel.valid.value)
-        ready = as_bool(self.channel.ready.value)
+        valid = self.channel.valid.value
+        ready = self.channel.ready.value
         data = self.channel.data.value
 
         if self._stalled_prev:
@@ -127,8 +127,8 @@ class ChannelMonitor(Component):
 
         def capture(cycle) -> None:
             capture_fn()
-            valid = as_bool(values[vs])
-            if valid and as_bool(values[rs]):
+            valid = values[vs]
+            if valid and values[rs]:
                 last[0], last[1] = "transfer", values[ds]
             elif valid:
                 last[0] = "stall"

@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 from repro.elastic.channel import ElasticChannel
 from repro.kernel.component import Component
 from repro.kernel.errors import ProtocolError
-from repro.kernel.values import X, as_bool
+from repro.kernel.values import X
 
 
 class Join(Component):
@@ -55,9 +55,9 @@ class Join(Component):
         self.declare_reads(out.ready)
 
     def combinational(self) -> None:
-        valids = [as_bool(ch.valid.value) for ch in self.inputs]
+        valids = [ch.valid.value for ch in self.inputs]
         all_valid = all(valids)
-        out_ready = as_bool(self.out.ready.value)
+        out_ready = self.out.ready.value
         self.out.valid.set(all_valid)
         if all_valid:
             self.out.data.set(self._combine(*[ch.data.value for ch in self.inputs]))
@@ -93,8 +93,8 @@ class LazyFork(Component):
             self.declare_reads(ch.ready)
 
     def combinational(self) -> None:
-        in_valid = as_bool(self.inp.valid.value)
-        readies = [as_bool(ch.ready.value) for ch in self.outputs]
+        in_valid = self.inp.valid.value
+        readies = [ch.ready.value for ch in self.outputs]
         self.inp.ready.set(all(readies))
         for i, ch in enumerate(self.outputs):
             others = all(r for j, r in enumerate(readies) if j != i)
@@ -134,11 +134,11 @@ class EagerFork(Component):
         self._next: list[bool] | None = None
 
     def combinational(self) -> None:
-        in_valid = as_bool(self.inp.valid.value)
+        in_valid = self.inp.valid.value
         # The token retires when, for every branch, it was served earlier
         # or is being served right now.
         done = [
-            self._served[i] or as_bool(ch.ready.value)
+            self._served[i] or ch.ready.value
             for i, ch in enumerate(self.outputs)
         ]
         self.inp.ready.set(in_valid and all(done))
@@ -214,7 +214,7 @@ class Branch(Component):
         return index
 
     def combinational(self) -> None:
-        in_valid = as_bool(self.inp.valid.value)
+        in_valid = self.inp.valid.value
         if not in_valid:
             self.inp.ready.set(False)
             for ch in self.outputs:
@@ -226,7 +226,7 @@ class Branch(Component):
             take = i == index
             ch.valid.set(take)
             ch.data.set(self._route(self.inp.data.value) if take else X)
-        self.inp.ready.set(as_bool(self.outputs[index].ready.value))
+        self.inp.ready.set(self.outputs[index].ready.value)
 
     def area_items(self) -> list[tuple[str, int, int]]:
         n = len(self.outputs)
@@ -263,7 +263,7 @@ class Merge(Component):
         self.declare_reads(out.ready)
 
     def combinational(self) -> None:
-        valids = [as_bool(ch.valid.value) for ch in self.inputs]
+        valids = [ch.valid.value for ch in self.inputs]
         chosen: int | None = None
         for i, v in enumerate(valids):
             if v:
@@ -274,7 +274,7 @@ class Merge(Component):
                         f"{self.path}: inputs {chosen} and {i} valid in the "
                         "same cycle (merge inputs must be mutually exclusive)"
                     )
-        out_ready = as_bool(self.out.ready.value)
+        out_ready = self.out.ready.value
         self.out.valid.set(chosen is not None)
         self.out.data.set(self.inputs[chosen].data.value if chosen is not None else X)
         for i, ch in enumerate(self.inputs):

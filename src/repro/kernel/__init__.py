@@ -23,16 +23,17 @@ from repro.kernel.errors import (
     SnapshotError,
     WiringError,
 )
-from repro.kernel.signal import Signal, const
+from repro.kernel.signal import ControlSignal, Signal, const
 from repro.kernel.simulator import Simulator, WatchedPredicate, build
 from repro.kernel.slots import SeqPlan, SeqStore, SlotStore
 from repro.kernel.snapshot import SimSnapshot
 from repro.kernel.trace import TraceRecorder, trace_signals
-from repro.kernel.values import X, as_bool, bit, is_x, onehot_index, popcount, same_value
+from repro.kernel.values import X, as_bool, is_x, same_value
 
 __all__ = [
     "CompiledEngine",
     "Component",
+    "ControlSignal",
     "ConvergenceError",
     "ENGINES",
     "EnsembleContext",
@@ -56,12 +57,9 @@ __all__ = [
     "X",
     "lift_simulator",
     "as_bool",
-    "bit",
     "build",
     "const",
     "is_x",
-    "onehot_index",
-    "popcount",
     "same_value",
     "trace_signals",
 ]

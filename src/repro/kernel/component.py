@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from repro.kernel.errors import EnsembleUnsupported, WiringError
-from repro.kernel.signal import Signal
+from repro.kernel.signal import ControlSignal, Signal
 from repro.kernel.values import X
 
 
@@ -106,11 +106,17 @@ class Component:
     # ------------------------------------------------------------------
     def signal(self, name: str, width: int = 1, init: Any = X) -> Signal:
         """Create and register a signal owned (not necessarily driven) here."""
+        return self._own(name, Signal(f"{self.path}.{name}", width=width, init=init))
+
+    def control(self, name: str) -> ControlSignal:
+        """Create and register a handshake wire (valid/ready), reset False."""
+        return self._own(name, ControlSignal(f"{self.path}.{name}"))
+
+    def _own(self, name: str, sig: Signal) -> Any:
         if name in self._signals:
             raise WiringError(
                 f"component {self.name!r} already owns a signal {name!r}"
             )
-        sig = Signal(f"{self.path}.{name}", width=width, init=init)
         self._signals[name] = sig
         return sig
 
@@ -212,7 +218,7 @@ class Component:
         may return a zero-argument callable that is *behaviourally
         identical* to :meth:`combinational` but reads and writes
         ``store.values`` slots directly (typically with batched slice
-        operations over packed handshake blocks).  The callable has two
+        operations over packed handshake blocks).  The callable has three
         obligations:
 
         * whenever it changes a signal's value (under
@@ -220,6 +226,10 @@ class Component:
           ``store.readers_of(<the changed signals>)`` — resolved once at
           compile time — to ``store.dirty``, the slot-level analogue of
           ``Signal.set`` notifying declared readers;
+        * what it writes into a
+          :class:`~repro.kernel.signal.ControlSignal` slot must be a
+          ``bool`` (``ControlSignal.set`` would have coerced it; every
+          reader takes handshake slots raw);
         * it should return a truthy value iff it changed at least one
           output (diagnostics and tests rely on it; the engine schedules
           purely from the dirty marks).

@@ -20,6 +20,11 @@ shared flat list so that the compiled settle engine (and any vectorized
 ``compile_comb`` path) can read and write raw slots — slices included —
 without ever touching the Signal object, while ``Signal.get``/``set``
 keep observing the exact same cells.
+
+Handshake wires (the ``valid``/``ready`` pairs of every elastic channel)
+are :class:`ControlSignal` s: they canonicalize at the write, so their
+slots only ever hold ``True`` or ``False`` and every reader — scalar or
+slot-compiled — can take them raw.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.kernel.errors import WiringError
-from repro.kernel.values import X, same_value
+from repro.kernel.values import X, as_bool, same_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.component import Component
@@ -117,6 +122,37 @@ class Signal:
             f"Signal({self.name!r}, width={self.width}, "
             f"value={self._store[self._slot]!r})"
         )
+
+
+class ControlSignal(Signal):
+    """A one-bit handshake wire whose slot only ever holds a bool.
+
+    :meth:`set` stores ``True``/``False`` as given, maps any other value
+    through ``bool`` (so a truthy non-bool such as ``2`` is asserted on
+    every engine) and raises :class:`ValueError` on :data:`X`, leaving
+    the wire's previous value in place.  Reset value is ``False``.
+    Slot-compiled steps that write handshake slots directly, bypassing
+    :meth:`set`, must write bools.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, name: str, width: int = 1, init: Any = False):
+        super().__init__(name, width=width, init=as_bool(init))
+
+    def set(self, value: Any) -> bool:
+        if value is not True and value is not False:
+            value = as_bool(value)
+        store = self._store
+        slot = self._slot
+        old = store[slot]
+        if old is value:
+            return False
+        store[slot] = value
+        engine = self._engine
+        if engine is not None:
+            engine.note_change(self, old)
+        return True
 
 
 def const(name: str, value: Any, width: int = 1) -> Signal:

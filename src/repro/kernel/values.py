@@ -1,8 +1,9 @@
 """Value helpers for the simulation kernel.
 
-Signals in this kernel carry arbitrary Python objects.  Control signals
-(valids, readies, grants) use plain ``bool``/``int``; datapath signals may
-carry tuples, dataclasses, or whole message blocks.  The special sentinel
+Signals in this kernel carry arbitrary Python objects.  Handshake wires
+(valids, readies) are :class:`~repro.kernel.signal.ControlSignal` s and
+hold only ``bool``; datapath signals may carry tuples, dataclasses, or
+whole message blocks.  The special sentinel
 :data:`X` models an unknown/don't-care value, mirroring the ``X`` of
 4-state RTL simulators: it is what every signal holds before its driver has
 run, and what a buffer's data output shows while it is empty.
@@ -51,38 +52,13 @@ def is_x(value: Any) -> bool:
 def as_bool(value: Any) -> bool:
     """Coerce a control-signal value to bool, rejecting :data:`X`.
 
-    Control logic in the elastic primitives goes through this helper so a
-    signal that was never driven fails loudly instead of being silently
-    treated as False.
+    :class:`~repro.kernel.signal.ControlSignal` writes go through this
+    helper, so a handshake wire driven with an unknown value fails loudly
+    at the write instead of being silently treated as False.
     """
     if value is X:
-        raise ValueError("control signal evaluated while X (undriven?)")
+        raise ValueError("control signal is X (undriven?)")
     return bool(value)
-
-
-def bit(value: Any) -> int:
-    """Coerce a control-signal value to the integer 0 or 1."""
-    return 1 if as_bool(value) else 0
-
-
-def bools(seq: list) -> list:
-    """Coerce a handshake-value slice to canonical bools, rejecting X.
-
-    The batched counterpart of :func:`as_bool`.  Two C-speed ``count``
-    scans prove the common case — every entry already equals ``True`` or
-    ``False`` — and then *seq itself* is returned, so callers must pass a
-    fresh slice, never a live state list.  Anything else (``X``, truthy
-    non-bools such as ``2``) takes the per-element path: it raises on the
-    first ``X`` exactly where a per-signal ``as_bool`` loop would, and
-    maps the rest through ``bool`` so the ``count(True)``/``index(True)``
-    idioms used by the slot-compiled handshake paths are exact.
-    (``X`` compares by identity, so the scans never coerce it.)
-    """
-    n = len(seq)
-    trues = seq.count(True)
-    if trues == n or trues + seq.count(False) == n:
-        return seq
-    return [as_bool(v) for v in seq]
 
 
 def same_value(a: Any, b: Any) -> bool:
@@ -116,26 +92,3 @@ def state_changed(a: Any, b: Any) -> bool:
         return not bool(a == b)
     except Exception:
         return True
-
-
-def onehot_index(bits: list[bool]) -> int | None:
-    """Return the index of the single asserted bit, or None if all clear.
-
-    Raises :class:`ValueError` when more than one bit is asserted; the
-    multithreaded channel invariant (at most one ``valid(i)`` per cycle)
-    is enforced through this helper.
-    """
-    index: int | None = None
-    for i, b in enumerate(bits):
-        if b:
-            if index is not None:
-                raise ValueError(
-                    f"expected one-hot vector, bits {index} and {i} both set"
-                )
-            index = i
-    return index
-
-
-def popcount(bits: list[bool]) -> int:
-    """Number of asserted bits in a list of booleans."""
-    return sum(1 for b in bits if b)

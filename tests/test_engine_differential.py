@@ -13,7 +13,9 @@ fallback path, and for declared components, which take the SCC worklist
 path), slot-store edge cases (X-valued slots, ``invalidate()`` after
 finalize, ``declare_volatile``), engine selection plumbing, and
 replaying the shipped examples under every engine via the
-``REPRO_SIM_ENGINE`` environment variable.
+``REPRO_SIM_ENGINE`` environment variable.  Every design built here
+also checks, after each cycle, that every handshake slot holds a bool
+(:func:`check_handshakes`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.elastic import (
 )
 from repro.elastic.buffer import HalfBuffer
 from repro.elastic.endpoints import duty_cycle, stall_window
-from repro.kernel import Component, ConvergenceError, Simulator, build
+from repro.kernel import Component, ControlSignal, ConvergenceError, Simulator, build
 from repro.kernel.values import same_value
 from repro.netlist import DataflowGraph, elaborate
 from repro.sweep.families import make_mt_chain
@@ -82,6 +84,40 @@ def engine_context(variant: str):
             del os.environ["REPRO_SIM_SEQ"]
         else:
             os.environ["REPRO_SIM_SEQ"] = old
+
+
+def check_handshakes(sim: Simulator) -> Simulator:
+    """Assert, after every cycle's settle, that each valid/ready slot
+    holds a bool.
+
+    The compiled steps and tick plans read handshake slots raw, relying
+    on :class:`ControlSignal` coercing every write; a step that writes an
+    int or a truthy object straight into the slot store breaks that
+    invariant and fails here.
+    """
+    wires = [sig for sig in sim.signals if isinstance(sig, ControlSignal)]
+
+    def check(s: Simulator) -> None:
+        bad = [(sig.name, sig.value) for sig in wires if type(sig.value) is not bool]
+        assert not bad, f"cycle {s.cycle}: non-bool handshake slots {bad[:8]}"
+
+    if wires:
+        sim.add_observer(check)
+    return sim
+
+
+@pytest.fixture(autouse=True)
+def handshake_slots_hold_bools(monkeypatch):
+    """Every design this module builds runs under :func:`check_handshakes`."""
+    finalize = Simulator._finalize
+
+    def checked(sim: Simulator) -> None:
+        first = not sim._finalized
+        finalize(sim)
+        if first:
+            check_handshakes(sim)
+
+    monkeypatch.setattr(Simulator, "_finalize", checked)
 
 
 def run_and_trace(sim: Simulator, cycles: int) -> list[dict[str, object]]:
@@ -559,15 +595,50 @@ class TestSlotStoreEdgeCases:
             assert not is_x(data.value)
 
     def test_x_on_handshake_wire_raises_like_scalar_path(self):
+        """X is rejected at the write on every engine, and the wire
+        keeps its previous value for the raw slice readers."""
         from repro.kernel.values import X
 
-        sim, _src, _snk, mebs, _mons = self.make_pipeline()
-        sim.run(cycles=2)
-        # An X forced onto a ready wire must blow up the batched read
-        # exactly like the scalar as_bool path would.
-        mebs[0].down.ready[1].set(X)
-        with pytest.raises(ValueError):
-            mebs[0].down.readies()
+        for variant in TICK_VARIANTS:
+            with engine_context(variant) as engine:
+                sim, _src, _snk, mebs, _mons = self.make_pipeline(engine)
+            sim.run(cycles=2)
+            wire = mebs[0].down.ready[1]
+            before = wire.value
+            assert type(before) is bool
+            with pytest.raises(ValueError):
+                wire.set(X)
+            assert wire.value is before
+            assert mebs[0].down.readies()[1] is before
+            sim.run(cycles=2)
+
+    def test_int_in_handshake_slot_fails_the_bool_check(self):
+        """A compiled step writing ints straight into ready slots (equal
+        to bools under ``==``, so no compare catches it) trips
+        :func:`check_handshakes`; the naive oracle never runs the step."""
+        from repro.core import MTChannel, MTSink, MTSource
+
+        class IntReadySink(MTSink):
+            def compile_comb(self, store):
+                rb, re_ = store.range_of(self.channel.ready)
+                values = store.values
+                ones = [1] * self.threads
+
+                def step() -> bool:
+                    values[rb:re_] = ones
+                    return False
+
+                return step
+
+        for engine in ENGINES:
+            ch = MTChannel("ch", threads=2, width=8)
+            src = MTSource("src", ch, items=[[1, 2], [3]])
+            sim = build(ch, src, IntReadySink("snk", ch), engine=engine)
+            if engine == "naive":
+                sim.run(cycles=3)
+            else:
+                with pytest.raises(AssertionError, match="non-bool handshake"):
+                    sim.run(cycles=3)
 
     def test_invalidate_after_finalize_reschedules(self):
         sim, src, snk, _mebs, _mons = self.make_pipeline()

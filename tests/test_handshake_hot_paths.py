@@ -1,15 +1,20 @@
-"""Handshake values the compiled hot paths must read like the scalar path.
+"""Non-bool handshake values: every engine treats them alike.
 
-The slot-compiled settle steps and tick plans read S-wide valid/ready
-vectors as raw slot slices and prove them canonical with C-speed scans.
-Two kinds of non-canonical value must still behave exactly as under the
-naive oracle, which coerces every wire through ``as_bool``:
+Handshake wires are :class:`~repro.kernel.signal.ControlSignal` s, which
+canonicalize at the write, so the slot-compiled settle steps and tick
+plans read S-wide valid/ready vectors as raw slot slices with no check of
+their own.  Non-bool values must still behave exactly as under the naive
+oracle:
 
-* ``X`` on a handshake wire raises, with the same exception type, in
-  every compiled step and capture that reads the wire;
+* driving ``X`` onto a handshake wire raises ``ValueError`` at the
+  write, at the same point on every engine, whichever component would
+  have read the wire;
 * a truthy non-bool valid (here ``2``, driven by a plain
-  ``combinational()`` producer) counts as asserted, so every engine
-  moves the same items at the same cycles.
+  ``combinational()`` producer) is stored as ``True``, so every engine
+  moves the same items at the same cycles;
+* injection and stall gates returning ints or other truthy objects gate
+  the same transfers on every engine, and the compiled ``MTSink`` step,
+  which writes its ready slots directly, writes bools.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.core import (
 from repro.kernel import Component, build
 from repro.kernel.values import X, as_bool
 
-from tests.test_engine_differential import TICK_VARIANTS, engine_context
+from tests.test_engine_differential import TICK_VARIANTS, check_handshakes, engine_context
 
 
 class _FixedValids(Component):
@@ -297,6 +302,40 @@ class TestTruthyValid:
         assert [d for _c, d in sent] == list(range(100, 105))
         assert [d for _c, _t, d in received] == list(range(100, 105))
         assert [(c, d) for c, _t, d in transfers] == sent
+        for variant in TICK_VARIANTS[1:]:
+            assert results[variant] == results["naive"], variant
+
+
+#: Per-thread gates returning ints and truthy non-bools.
+_TRUTHY_GATES = [
+    lambda c: c % 2,
+    lambda c: 2 if c % 3 else 0,
+    lambda c: "go" if c % 4 < 2 else "",
+    lambda c: [c] if c % 5 else [],
+]
+
+
+class TestTruthyGates:
+    @pytest.mark.parametrize("meb_cls", [None, FullMEB, ReducedMEB])
+    def test_streams_identical_on_every_engine(self, meb_cls):
+        results = {}
+        for variant in TICK_VARIANTS:
+            with engine_context(variant) as engine:
+                up = _chan("up")
+                down = _chan("down") if meb_cls else up
+                src = MTSource("src", up, items=_items(), patterns=_TRUTHY_GATES[::-1])
+                sink = MTSink("snk", down, patterns=_TRUTHY_GATES)
+                mon = MTMonitor("mon", down)
+                parts = [src, sink, mon]
+                if meb_cls:
+                    parts += [down, meb_cls("meb", up, down)]
+                sim = build(up, *parts, engine=engine)
+            if variant == "compiled":
+                assert sink.compile_comb(sim.store) is not None
+            check_handshakes(sim).run(cycles=60)
+            results[variant] = (src.sent, mon.transfers, sink.received)
+        received = results["naive"][2]
+        assert sorted(d for _c, _t, d in received) == sorted(sum(_items(), []))
         for variant in TICK_VARIANTS[1:]:
             assert results[variant] == results["naive"], variant
 

@@ -9,13 +9,12 @@ from repro.kernel import (
     Signal,
     WiringError,
     X,
+    ProtocolError,
     as_bool,
-    bit,
     is_x,
-    onehot_index,
-    popcount,
     same_value,
 )
+from repro.core.mtchannel import one_hot_thread
 
 
 class TestUnknownValue:
@@ -48,10 +47,6 @@ class TestUnknownValue:
         assert as_bool(1) is True
         assert as_bool(0) is False
 
-    def test_bit(self):
-        assert bit(True) == 1
-        assert bit(0) == 0
-
 
 class TestSameValue:
     def test_x_equals_x(self):
@@ -75,22 +70,20 @@ class TestSameValue:
 
 
 class TestOnehot:
+    """``one_hot_thread`` on raw valid slices (handshake slots hold bools)."""
+
     def test_empty_vector(self):
-        assert onehot_index([]) is None
+        assert one_hot_thread([], "ch") is None
 
     def test_all_clear(self):
-        assert onehot_index([False, False, False]) is None
+        assert one_hot_thread([False, False, False], "ch") is None
 
     def test_single_bit(self):
-        assert onehot_index([False, True, False]) == 1
+        assert one_hot_thread([False, True, False], "ch") == 1
 
     def test_two_bits_raises(self):
-        with pytest.raises(ValueError):
-            onehot_index([True, False, True])
-
-    def test_popcount(self):
-        assert popcount([True, False, True, True]) == 3
-        assert popcount([]) == 0
+        with pytest.raises(ProtocolError, match="ch: .*bits 0 and 2"):
+            one_hot_thread([True, False, True], "ch")
 
 
 class TestSignal:
