@@ -330,11 +330,7 @@ class MTVariableLatencyUnit(Component):
         return self._owner
 
     def combinational(self) -> None:
-        draining = (
-            self.bypass
-            and self.done
-            and self.out.ready[self._owner].value
-        )
+        draining = self.bypass and self.done and self.out.ready[self._owner].value
         accepting = (not self._busy) or draining
         for t in range(self.threads):
             self.inp.ready[t].set(accepting)

@@ -87,9 +87,7 @@ class MJoin(Component):
                 others = all(
                     v[t] for j, v in enumerate(valids) if j != k
                 )
-                ch.ready[t].set(
-                    self.out.ready[t].value and others
-                )
+                ch.ready[t].set(self.out.ready[t].value and others)
 
     def area_items(self) -> list[tuple[str, int, int]]:
         return [("lut", 2 * len(self.inputs) * self.threads, 1)]
@@ -358,11 +356,7 @@ class MMerge(Component):
         )
         for k, ch in enumerate(self.inputs):
             for t in range(self.threads):
-                take = (
-                    winner == k
-                    and actives[k] == t
-                    and self.out.ready[t].value
-                )
+                take = winner == k and actives[k] == t and self.out.ready[t].value
                 ch.ready[t].set(take)
 
     def compile_comb(self, store):

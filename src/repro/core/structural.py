@@ -42,10 +42,7 @@ class _InputDemux(Component):
             self.declare_reads(ch.ready)
 
     def combinational(self) -> None:
-        actives = [
-            i for i in range(self.up.threads)
-            if self.up.valid[i].value
-        ]
+        actives = [i for i in range(self.up.threads) if self.up.valid[i].value]
         if len(actives) > 1:
             raise ProtocolError(
                 f"{self.path}: {len(actives)} threads valid on {self.up.path}"
@@ -93,10 +90,7 @@ class _OutputArbiterMux(Component):
         )
 
     def capture(self) -> None:
-        transferred = (
-            self._grant is not None
-            and self.down.ready[self._grant].value
-        )
+        transferred = self._grant is not None and self.down.ready[self._grant].value
         self.arbiter.note(self._grant, transferred)
 
     def commit(self) -> bool:

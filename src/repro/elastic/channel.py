@@ -7,7 +7,8 @@ in every cycle where both handshake wires are high.
 The channel is modelled as a (behaviour-free) :class:`Component` so its
 signals participate in the simulator's settle loop and appear in traces
 under a readable name.  The producer side drives ``valid``/``data``; the
-consumer side drives ``ready``.
+consumer side drives ``ready``.  ``valid`` and ``ready`` are
+:class:`~repro.kernel.signal.ControlSignal` s, so they hold only bools.
 """
 
 from __future__ import annotations

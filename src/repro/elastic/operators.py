@@ -137,10 +137,7 @@ class EagerFork(Component):
         in_valid = self.inp.valid.value
         # The token retires when, for every branch, it was served earlier
         # or is being served right now.
-        done = [
-            self._served[i] or ch.ready.value
-            for i, ch in enumerate(self.outputs)
-        ]
+        done = [self._served[i] or ch.ready.value for i, ch in enumerate(self.outputs)]
         self.inp.ready.set(in_valid and all(done))
         for i, ch in enumerate(self.outputs):
             ch.valid.set(in_valid and not self._served[i])

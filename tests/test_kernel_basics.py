@@ -4,17 +4,18 @@ import pickle
 
 import pytest
 
+from repro.core.mtchannel import one_hot_thread
 from repro.kernel import (
     Component,
+    ControlSignal,
+    ProtocolError,
     Signal,
     WiringError,
     X,
-    ProtocolError,
     as_bool,
     is_x,
     same_value,
 )
-from repro.core.mtchannel import one_hot_thread
 
 
 class TestUnknownValue:
@@ -114,6 +115,48 @@ class TestSignal:
         sig.set_driver(a)
         sig.set_driver(a)
         assert sig.driver is a
+
+
+class TestControlSignal:
+    def test_resets_false(self):
+        assert ControlSignal("v").value is False
+
+    def test_bools_stored_as_given(self):
+        sig = ControlSignal("v")
+        assert sig.set(True) is True
+        assert sig.value is True
+        assert sig.set(True) is False
+
+    def test_truthy_non_bools_coerced(self):
+        sig = ControlSignal("v")
+        assert sig.set(2) is True
+        assert sig.value is True
+        assert sig.set(1) is False
+        assert sig.set([]) is True
+        assert sig.value is False
+
+    def test_x_rejected_and_previous_value_kept(self):
+        sig = ControlSignal("v")
+        sig.set(True)
+        with pytest.raises(ValueError):
+            sig.set(X)
+        assert sig.value is True
+
+    def test_component_control_registers_one(self):
+        comp = Component("c")
+        assert isinstance(comp.control("valid"), ControlSignal)
+        with pytest.raises(WiringError):
+            comp.control("valid")
+
+    def test_channel_handshakes_are_control_signals(self):
+        from repro.core import MTChannel
+        from repro.elastic import ElasticChannel
+
+        mt = MTChannel("mt", threads=3)
+        st = ElasticChannel("st")
+        for sig in [*mt.valid, *mt.ready, st.valid, st.ready]:
+            assert type(sig) is ControlSignal
+        assert type(mt.data) is Signal and type(st.data) is Signal
 
 
 class TestComponentTree:
