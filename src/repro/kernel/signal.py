@@ -137,8 +137,8 @@ class ControlSignal(Signal):
 
     __slots__ = ()
 
-    def __init__(self, name: str, width: int = 1, init: Any = False):
-        super().__init__(name, width=width, init=as_bool(init))
+    def __init__(self, name: str):
+        super().__init__(name, init=False)
 
     def set(self, value: Any) -> bool:
         if value is not True and value is not False:
