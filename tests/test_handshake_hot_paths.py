@@ -306,6 +306,10 @@ class TestTruthyValid:
             assert results[variant] == results["naive"], variant
 
 
+# ----------------------------------------------------------------------
+# injection and stall gates returning non-bools
+# ----------------------------------------------------------------------
+
 #: Per-thread gates returning ints and truthy non-bools.
 _TRUTHY_GATES = [
     lambda c: c % 2,
@@ -318,6 +322,9 @@ _TRUTHY_GATES = [
 class TestTruthyGates:
     @pytest.mark.parametrize("meb_cls", [None, FullMEB, ReducedMEB])
     def test_streams_identical_on_every_engine(self, meb_cls):
+        """Gates returning ``1``/``0``, ``2``, strings and lists move the
+        same items at the same cycles on every engine, and every
+        handshake slot holds a bool after each cycle."""
         results = {}
         for variant in TICK_VARIANTS:
             with engine_context(variant) as engine:
